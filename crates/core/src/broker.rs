@@ -13,12 +13,13 @@
 //!
 //! # Architecture
 //!
-//! Each rack runs the unmodified engine epoch loop on its own OS thread,
-//! driven through the engine's `EpochHooks` seam: at the top of
-//! every epoch the rack blocks on a broker *directive* (its routed load
-//! factor for the epoch), and after the epoch settles it reports
-//! telemetry (believed supply, battery state of charge, live servers,
-//! demand) back to the broker. The broker:
+//! Each rack is a worker of the rack runtime (`rack.rs`) — the
+//! unmodified engine epoch loop on its own OS thread: at the top of every
+//! epoch the rack blocks on a broker *directive* (its routed load factor
+//! for the epoch), and after the epoch settles it reports telemetry
+//! (believed supply, battery state of charge, live servers, demand) back
+//! to the broker. The rack runtime is shared with `serve --racks N`; what
+//! is the broker's own is the site-fault directive policy. The broker:
 //!
 //! 1. computes a *conserved* allocation — per-rack load factors summing
 //!    exactly to the rack count — from last epoch's telemetry, favouring
@@ -45,22 +46,17 @@
 //! state plus every rack's [`LoopState`] at the same epoch boundary, so a
 //! run killed mid-partition resumes to a byte-identical outcome.
 
-use crate::audit::{InvariantAuditor, SiteFlows};
 use crate::checkpoint::{fingerprint, LoopState, DC_CHECKPOINT_SCHEMA};
 use crate::datacenter::{DatacenterConfig, DatacenterOutcome};
-use crate::engine::{
-    run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord, MeasurementMode,
-    TickDirective, REJOIN_EPOCHS,
-};
+use crate::engine::{BurstOutcome, EngineConfig, MeasurementMode, REJOIN_EPOCHS};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
-use crate::fleet::EngineScratch;
-use crate::pmk::Strategy;
-use crate::profiler::ProfileTable;
-use crate::supervisor::{backoff_ms, panic_message};
+pub use crate::rack::RackBelief;
+use crate::rack::{
+    judge_racks, rack_seed, settle_site_epoch, DirectiveRow, JobGate, RackDirective, RackWorker,
+};
+use crate::supervisor::backoff_ms;
 use gs_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, PoisonError};
 
 /// EWMA-style smoothing weight on the surplus-driven share: a factor is
 /// `(1 − β)` of an even split plus `β` of the rack's surplus share, so
@@ -76,42 +72,6 @@ const LINK_RETRIES: u32 = 3;
 /// Salt for the broker's link-loss RNG stream ("link!"), keeping it
 /// decorrelated from every engine and generator stream.
 const LINK_SALT: u64 = 0x006c_696e_6b21;
-/// A computed factor at or below this is treated as "drained" when
-/// counting re-routed epochs. Shared with [`crate::serve`]'s multi-rack
-/// orchestrator so both planes count reroutes identically.
-pub(crate) const REROUTE_EPS: f64 = 0.01;
-
-/// The broker's belief about one rack, refreshed from telemetry each
-/// epoch (or held stale across a partition).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RackBelief {
-    /// Believed renewable supply (W).
-    pub re_supply_w: f64,
-    /// Mean battery state of charge.
-    pub battery_soc: f64,
-    /// Servers carrying load.
-    pub live_servers: usize,
-    /// Settled power demand (W).
-    pub demand_w: f64,
-    /// Goodput summed over the rack (req/s).
-    pub goodput_rps: f64,
-    /// True while the belief is held over from before a partition.
-    pub stale: bool,
-}
-
-impl RackBelief {
-    /// The pre-telemetry belief for a healthy rack of `n` servers.
-    pub(crate) fn initial(n: usize) -> Self {
-        RackBelief {
-            re_supply_w: 0.0,
-            battery_soc: 1.0,
-            live_servers: n,
-            demand_w: 0.0,
-            goodput_rps: 0.0,
-            stale: true,
-        }
-    }
-}
 
 /// Per-rack routing statistics, summarized into the outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -252,7 +212,7 @@ pub(crate) fn rack_engine_config(cfg: &DatacenterConfig, i: usize) -> EngineConf
         app: rack.app,
         green: rack.green.clone(),
         strategy: rack.strategy,
-        seed: cfg.template.seed.wrapping_add(i as u64 * 0x9E37_79B9),
+        seed: rack_seed(cfg.template.seed, i),
         fault_plan: translate_plan(cfg, i),
         ..cfg.template.clone()
     }
@@ -382,120 +342,6 @@ fn link_delay(
     })
 }
 
-/// A counting gate bounding how many racks compute an epoch
-/// simultaneously. Purely a concurrency throttle: acquisition order never
-/// influences results, because the broker aggregates in rack-index order.
-struct JobGate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl JobGate {
-    fn new(n: usize) -> Self {
-        JobGate {
-            permits: Mutex::new(n.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    // The gate only ever holds a counter, so a poisoned lock (some rack
-    // panicked while holding it) still carries a usable value: ride the
-    // poison rather than cascading the panic into every sibling rack.
-    fn acquire(&self) {
-        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
-        while *p == 0 {
-            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
-        }
-        *p -= 1;
-    }
-
-    fn release(&self) {
-        *self.permits.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.cv.notify_one();
-    }
-}
-
-/// What the broker delivers to a rack for one epoch.
-enum RackDirective {
-    /// The routed load factor arrived.
-    Deliver(f64),
-    /// Nothing arrived (partition, or retries exhausted on a lossy
-    /// link): the rack degrades to local autonomy.
-    Lost,
-}
-
-/// What a rack sends back to the broker.
-enum RackMsg {
-    /// A captured loop state at a snapshot boundary.
-    Snapshot(Box<LoopState>),
-    /// One settled epoch's telemetry.
-    Report(EpochRecord),
-}
-
-/// The rack-side epoch driver: block for the directive, apply it (or
-/// hold the last-good factor on a lost link), and report telemetry.
-struct RackHooks<'a> {
-    dir_rx: mpsc::Receiver<RackDirective>,
-    msg_tx: mpsc::Sender<RackMsg>,
-    gate: &'a JobGate,
-    /// Last factor actually applied — the rack's local autonomy when a
-    /// directive is lost.
-    last_factor: f64,
-}
-
-impl EpochHooks for RackHooks<'_> {
-    fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        // A closed directive channel means the broker died mid-run. The
-        // rack degrades to local autonomy (exactly as for a lost link)
-        // and runs its window out, so the broker's error path can still
-        // join every rack and report one coherent failure.
-        let dir = self.dir_rx.recv().unwrap_or(RackDirective::Lost);
-        self.gate.acquire();
-        let f = match dir {
-            RackDirective::Deliver(f) => {
-                self.last_factor = f;
-                f
-            }
-            RackDirective::Lost => self.last_factor,
-        };
-        TickDirective {
-            load_factor: Some(f),
-            ..TickDirective::default()
-        }
-    }
-
-    fn after_epoch(
-        &mut self,
-        _k: u64,
-        rec: &EpochRecord,
-        _s: &[gs_cluster::ServerSetting],
-    ) -> bool {
-        self.gate.release();
-        let _ = self.msg_tx.send(RackMsg::Report(*rec));
-        true
-    }
-
-    fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self.msg_tx.send(RackMsg::Snapshot(Box::new(state.clone())));
-    }
-}
-
-/// The baseline driver: replay the applied factors of the strategy run so
-/// the Normal floor is judged like-for-like through blackouts and
-/// partitions. Shared with [`crate::serve`]'s multi-rack floor judgment.
-pub(crate) struct ReplayHooks<'a> {
-    pub(crate) factors: &'a [f64],
-}
-
-impl EpochHooks for ReplayHooks<'_> {
-    fn before_epoch(&mut self, k: u64, _t: SimTime) -> TickDirective {
-        TickDirective {
-            load_factor: Some(self.factors.get(k as usize).copied().unwrap_or(1.0)),
-            ..TickDirective::default()
-        }
-    }
-}
-
 /// Compute the conserved allocation for the next epoch from the current
 /// beliefs: factors sum to exactly the rack count, dark racks get zero
 /// (their load re-routes to survivors), and each survivor's share blends
@@ -607,8 +453,9 @@ pub fn resume_datacenter_snapshot(
     )
 }
 
-/// The broker loop plus the per-rack baseline replays. `resume` restarts
-/// from a snapshot's broker state and rack loop states.
+/// The broker loop over the rack runtime, then the per-rack baseline
+/// replays. `resume` restarts from a snapshot's broker state and rack
+/// loop states.
 fn run_stepped(
     cfg: &DatacenterConfig,
     jobs: usize,
@@ -651,315 +498,186 @@ fn run_stepped(
     }
 
     let gate = JobGate::new(jobs);
-    let mut dir_txs: Vec<mpsc::Sender<RackDirective>> = Vec::with_capacity(n);
-    let mut msg_rxs: Vec<mpsc::Receiver<RackMsg>> = Vec::with_capacity(n);
+    let mut rack_resume = rack_resume.map(Vec::into_iter);
+    let workers: Vec<RackWorker> = (0..n)
+        .map(|r| {
+            // On resume the rack's local-autonomy factor is the last
+            // applied one, exactly what the uninterrupted rack thread
+            // would be holding.
+            let held = st.applied.last().map_or(1.0, |row| row[r]);
+            let resume_r = rack_resume.as_mut().and_then(Iterator::next);
+            RackWorker::spawn(
+                r,
+                &rack_cfgs[r],
+                resume_r,
+                Vec::new(),
+                held,
+                snapshot_every,
+                &gate,
+            )
+        })
+        .collect();
 
-    let mains: Result<Vec<(BurstOutcome, crate::monitor::Monitor, Option<String>)>, String> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let cfg_i = rack_cfgs[i].clone();
-                    let (dtx, drx) = mpsc::channel();
-                    let (mtx, mrx) = mpsc::channel();
-                    dir_txs.push(dtx);
-                    msg_rxs.push(mrx);
-                    let resume_i = rack_resume.as_ref().map(|v| v[i].clone());
-                    // On resume the rack's local-autonomy factor is the
-                    // last applied one, exactly what the uninterrupted
-                    // rack thread would be holding.
-                    let last_factor = st.applied.last().map_or(1.0, |row| row[i]);
-                    let gate = &gate;
-                    scope.spawn(move || {
-                        let profiles = ProfileTable::cached(cfg_i.app);
-                        let mut scratch = EngineScratch::new();
-                        let mut hooks = RackHooks {
-                            dir_rx: drx,
-                            msg_tx: mtx,
-                            gate,
-                            last_factor,
-                        };
-                        run_once_resumable(
-                            &cfg_i,
-                            cfg_i.strategy,
-                            profiles,
-                            resume_i,
-                            snapshot_every,
-                            &mut |_| {},
-                            &mut scratch,
-                            &mut hooks,
-                        )
-                    })
-                })
-                .collect();
-
-            // A rack death (panicked worker, closed channel, protocol
-            // slip) aborts the epoch loop with a typed failure; the
-            // joined panic messages are appended below so the caller
-            // sees one coherent error instead of a broker panic.
-            let mut failure: Option<String> = None;
-            'epochs: for k in start_k..n_epochs {
-                // Snapshot boundary: every rack captures its LoopState at
-                // the top of epoch k (before receiving the directive), so
-                // the broker pairs those captures with its own
-                // pre-epoch-k state.
-                if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
-                    let mut rack_states = Vec::with_capacity(n);
-                    for (r, rx) in msg_rxs.iter().enumerate() {
-                        match rx.recv() {
-                            Ok(RackMsg::Snapshot(s)) => rack_states.push(*s),
-                            Ok(RackMsg::Report(_)) => {
-                                failure = Some(format!(
-                                    "protocol error: rack {r} sent telemetry in place of its \
-                                     epoch {k} boundary snapshot"
-                                ));
-                                break 'epochs;
-                            }
-                            Err(_) => {
-                                failure = Some(format!(
-                                    "rack {r} disconnected at the epoch {k} snapshot boundary"
-                                ));
-                                break 'epochs;
-                            }
-                        }
-                    }
-                    sink(&DatacenterSnapshot {
-                        fingerprint: fp.clone(),
-                        cfg: cfg.clone(),
-                        broker: st.clone(),
-                        racks: rack_states,
-                    });
-                }
-
-                let computed_k = compute_factors(&st, cfg);
-                let mut applied_k = vec![0.0; n];
-                for r in 0..n {
-                    let prev_applied = st.applied.last().map_or(1.0, |row| row[r]);
-                    if blackout_active(site, k, r, start, epoch) {
-                        st.blackout_epochs += 1;
-                    }
-                    let (directive, applied) = if partitioned(site, k, r, start, epoch) {
-                        if st.pinned[r].is_none() {
-                            st.pinned[r] = Some(prev_applied);
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} partitioned from broker; local autonomy \
-                                 holds factor {prev_applied:.3}"
-                            ));
-                        }
-                        st.probation_left[r] = REJOIN_EPOCHS;
-                        st.per_rack_partition[r] += 1;
-                        st.per_rack_degraded[r] += 1;
-                        (RackDirective::Lost, prev_applied)
-                    } else if let Some(pin) = st.pinned[r] {
-                        if st.probation_left[r] == REJOIN_EPOCHS {
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} link healed; {REJOIN_EPOCHS} probationary \
-                                 epoch(s) at held factor {pin:.3}"
-                            ));
-                        }
-                        st.probation_left[r] = st.probation_left[r].saturating_sub(1);
-                        st.per_rack_degraded[r] += 1;
-                        if st.probation_left[r] == 0 {
-                            st.pinned[r] = None;
-                            st.rejoins += 1;
-                            st.site_events
-                                .push(format!("epoch {k}: rack {r} rejoined routing"));
-                        }
-                        (RackDirective::Deliver(pin), pin)
-                    } else if let Some(p) = link_loss_p(site, k, r, start, epoch) {
-                        let mut lost_all = true;
-                        for attempt in 0..=LINK_RETRIES {
-                            if !st.link_rng.chance(p) {
-                                lost_all = false;
-                                break;
-                            }
-                            if attempt < LINK_RETRIES {
-                                st.link_retries += 1;
-                                st.link_latency_ms += backoff_ms(attempt);
-                            }
-                        }
-                        if lost_all {
-                            st.per_rack_degraded[r] += 1;
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} directive lost after {LINK_RETRIES} \
-                                 retries; local autonomy holds factor {prev_applied:.3}"
-                            ));
-                            (RackDirective::Lost, prev_applied)
-                        } else {
-                            (RackDirective::Deliver(computed_k[r]), computed_k[r])
-                        }
-                    } else if let Some(d) = link_delay(site, k, r, start, epoch) {
-                        st.stale_factor_epochs += 1;
-                        let f = if k >= u64::from(d) {
-                            let row = (k - u64::from(d)) as usize;
-                            st.computed.get(row).map_or(1.0, |c| c[r])
-                        } else {
-                            1.0
-                        };
-                        (RackDirective::Deliver(f), f)
-                    } else {
-                        (RackDirective::Deliver(computed_k[r]), computed_k[r])
-                    };
-                    applied_k[r] = applied;
-                    if dir_txs[r].send(directive).is_err() {
-                        failure = Some(format!(
-                            "rack {r} disconnected receiving its epoch {k} directive"
-                        ));
-                        break 'epochs;
-                    }
-                }
-                if computed_k.iter().any(|&f| f <= REROUTE_EPS)
-                    && computed_k.iter().any(|&f| f > 1.0 + REROUTE_EPS)
-                {
-                    st.rerouted_epochs += 1;
-                }
-                st.computed.push(computed_k.clone());
-                st.applied.push(applied_k);
-
-                // Telemetry in rack-index order: the aggregation order —
-                // not thread completion order — defines the result.
-                for (r, rx) in msg_rxs.iter().enumerate() {
-                    let rec = match rx.recv() {
-                        Ok(RackMsg::Report(rec)) => rec,
-                        Ok(RackMsg::Snapshot(_)) => {
-                            failure = Some(format!(
-                                "protocol error: rack {r} sent a snapshot in place of its \
-                                 epoch {k} telemetry"
-                            ));
-                            break 'epochs;
-                        }
-                        Err(_) => {
-                            failure = Some(format!("rack {r} disconnected during epoch {k}"));
-                            break 'epochs;
-                        }
-                    };
-                    if partitioned(site, k, r, start, epoch) {
-                        // The partition blocks both directions: hold the
-                        // last-good belief, marked stale.
-                        st.beliefs[r].stale = true;
-                    } else {
-                        st.beliefs[r] = RackBelief {
-                            re_supply_w: rec.re_supply_w,
-                            battery_soc: rec.battery_soc,
-                            live_servers: usize::from(rec.live_servers),
-                            demand_w: rec.demand_w,
-                            goodput_rps: rec.goodput_rps,
-                            stale: false,
-                        };
-                    }
-                }
-                st.has_telemetry = true;
-
-                let mut aud = InvariantAuditor::with_violations(std::mem::take(
-                    &mut st.site_audit_violations,
-                ));
-                // "Dark" for the zero-draw invariant means *inside an
-                // active blackout*: after the outage, servers on rejoin
-                // probation draw power without carrying load, which is
-                // correct behaviour, not a violation. A stale (partition-
-                // held) belief cannot attest either way, so it is skipped.
-                aud.check_site_epoch(&SiteFlows {
-                    epoch_index: k as usize,
-                    factors: st.computed.last().cloned().unwrap_or_default(),
-                    dark: (0..n)
-                        .map(|r| blackout_active(site, k, r, start, epoch) && !st.beliefs[r].stale)
-                        .collect(),
-                    rack_demand_w: st.beliefs.iter().map(|b| b.demand_w).collect(),
+    // A rack death (panicked worker, closed channel, protocol slip) aborts
+    // the epoch loop with the typed death message.
+    let mut lockstep = || -> Result<(), String> {
+        for k in start_k..n_epochs {
+            // Snapshot boundary: every rack captures its LoopState at the
+            // top of epoch k (before receiving the directive), so the
+            // broker pairs those captures with its own pre-epoch-k state.
+            if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
+                let racks = workers
+                    .iter()
+                    .map(|w| w.recv_capture(k))
+                    .collect::<Result<_, _>>()?;
+                sink(&DatacenterSnapshot {
+                    fingerprint: fp.clone(),
+                    cfg: cfg.clone(),
+                    broker: st.clone(),
+                    racks,
                 });
-                st.site_audit_violations = aud.into_violations();
-
-                st.next_epoch = k + 1;
             }
 
-            // All directives delivered (or the loop aborted); dropping
-            // the senders releases any still-blocked rack into local
-            // autonomy so every thread can be joined.
-            drop(dir_txs);
-            let mut outs = Vec::with_capacity(n);
-            let mut panics: Vec<String> = Vec::new();
-            for (r, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(out) => outs.push(out),
-                    Err(p) => {
-                        panics.push(format!("rack {r} panicked: {}", panic_message(p.as_ref())));
+            let computed_k = compute_factors(&st, cfg);
+            let mut applied_k = vec![0.0; n];
+            for (r, w) in workers.iter().enumerate() {
+                let prev_applied = st.applied.last().map_or(1.0, |row| row[r]);
+                if blackout_active(site, k, r, start, epoch) {
+                    st.blackout_epochs += 1;
+                }
+                // `None` is a lost directive: the rack degrades to local
+                // autonomy and holds its last applied factor.
+                let (load_factor, applied) = if partitioned(site, k, r, start, epoch) {
+                    if st.pinned[r].is_none() {
+                        st.pinned[r] = Some(prev_applied);
+                        st.site_events.push(format!(
+                            "epoch {k}: rack {r} partitioned from broker; local autonomy \
+                             holds factor {prev_applied:.3}"
+                        ));
                     }
+                    st.probation_left[r] = REJOIN_EPOCHS;
+                    st.per_rack_partition[r] += 1;
+                    st.per_rack_degraded[r] += 1;
+                    (None, prev_applied)
+                } else if let Some(pin) = st.pinned[r] {
+                    if st.probation_left[r] == REJOIN_EPOCHS {
+                        st.site_events.push(format!(
+                            "epoch {k}: rack {r} link healed; {REJOIN_EPOCHS} probationary \
+                             epoch(s) at held factor {pin:.3}"
+                        ));
+                    }
+                    st.probation_left[r] = st.probation_left[r].saturating_sub(1);
+                    st.per_rack_degraded[r] += 1;
+                    if st.probation_left[r] == 0 {
+                        st.pinned[r] = None;
+                        st.rejoins += 1;
+                        st.site_events
+                            .push(format!("epoch {k}: rack {r} rejoined routing"));
+                    }
+                    (Some(pin), pin)
+                } else if let Some(p) = link_loss_p(site, k, r, start, epoch) {
+                    let mut lost_all = true;
+                    for attempt in 0..=LINK_RETRIES {
+                        if !st.link_rng.chance(p) {
+                            lost_all = false;
+                            break;
+                        }
+                        if attempt < LINK_RETRIES {
+                            st.link_retries += 1;
+                            st.link_latency_ms += backoff_ms(attempt);
+                        }
+                    }
+                    if lost_all {
+                        st.per_rack_degraded[r] += 1;
+                        st.site_events.push(format!(
+                            "epoch {k}: rack {r} directive lost after {LINK_RETRIES} \
+                             retries; local autonomy holds factor {prev_applied:.3}"
+                        ));
+                        (None, prev_applied)
+                    } else {
+                        (Some(computed_k[r]), computed_k[r])
+                    }
+                } else if let Some(d) = link_delay(site, k, r, start, epoch) {
+                    st.stale_factor_epochs += 1;
+                    let f = if k >= u64::from(d) {
+                        let row = (k - u64::from(d)) as usize;
+                        st.computed.get(row).map_or(1.0, |c| c[r])
+                    } else {
+                        1.0
+                    };
+                    (Some(f), f)
+                } else {
+                    (Some(computed_k[r]), computed_k[r])
+                };
+                applied_k[r] = applied;
+                w.send(
+                    k,
+                    RackDirective {
+                        load_factor,
+                        ..RackDirective::default()
+                    },
+                )?;
+            }
+            st.computed.push(computed_k);
+            st.applied.push(applied_k);
+
+            // Telemetry in rack-index order: the aggregation order — not
+            // thread completion order — defines the result.
+            for (r, w) in workers.iter().enumerate() {
+                let (rec, _) = w.recv_report(k)?;
+                if partitioned(site, k, r, start, epoch) {
+                    // The partition blocks both directions: hold the
+                    // last-good belief, marked stale.
+                    st.beliefs[r].stale = true;
+                } else {
+                    st.beliefs[r] = RackBelief::from_record(&rec);
                 }
             }
-            match (failure, panics.is_empty()) {
-                (None, true) => Ok(outs),
-                (Some(msg), true) => Err(msg),
-                (None, false) => Err(panics.join("; ")),
-                (Some(msg), false) => Err(format!("{msg}: {}", panics.join("; "))),
+            st.has_telemetry = true;
+
+            // "Dark" for the zero-draw invariant means *inside an active
+            // blackout*: after the outage, servers on rejoin probation
+            // draw power without carrying load, which is correct
+            // behaviour, not a violation. A stale (partition-held) belief
+            // cannot attest either way, so it is skipped.
+            let dark = (0..n)
+                .map(|r| blackout_active(site, k, r, start, epoch) && !st.beliefs[r].stale)
+                .collect();
+            let factors = st.computed.last().map_or(&[][..], Vec::as_slice);
+            if settle_site_epoch(k, factors, &st.beliefs, dark, &mut st.site_audit_violations) {
+                st.rerouted_epochs += 1;
             }
-        });
-    let mains = mains?;
+            st.next_epoch = k + 1;
+        }
+        Ok(())
+    };
+    let stepped = lockstep();
+    // Joining releases any rack still waiting for a directive, so every
+    // thread is reaped before the error (if any) is reported.
+    let mains: Vec<Option<BurstOutcome>> = workers.into_iter().map(RackWorker::join).collect();
+    stepped?;
+    if let Some(r) = mains.iter().position(Option::is_none) {
+        return Err(format!("rack {r} died after its final report"));
+    }
 
     // Baseline phase: replay each rack's applied factors under Normal so
-    // the floor judgment is like-for-like through site faults. A Normal
-    // rack is its own baseline. Bounded by the same jobs level; snapshots
-    // cover the strategy phase only — a resume re-runs the (deterministic)
-    // baselines.
-    let applied_cols: Vec<Vec<f64>> = (0..n)
-        .map(|r| st.applied.iter().map(|row| row[r]).collect())
+    // the floor judgment is like-for-like through site faults. Bounded by
+    // the same jobs level; snapshots cover the strategy phase only — a
+    // resume re-runs the (deterministic) baselines.
+    let rows: Vec<DirectiveRow> = st
+        .applied
+        .iter()
+        .cloned()
+        .map(DirectiveRow::routing)
         .collect();
-    let gate = JobGate::new(jobs);
-    let baselines: Result<Vec<Option<BurstOutcome>>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|r| {
-                let cfg_r = &rack_cfgs[r];
-                let factors = &applied_cols[r];
-                let gate = &gate;
-                scope.spawn(move || {
-                    if cfg_r.strategy == Strategy::Normal {
-                        return None;
-                    }
-                    gate.acquire();
-                    let profiles = ProfileTable::cached(cfg_r.app);
-                    let mut scratch = EngineScratch::new();
-                    let mut hooks = ReplayHooks { factors };
-                    let (outcome, _, _) = run_once_resumable(
-                        cfg_r,
-                        Strategy::Normal,
-                        profiles,
-                        None,
-                        0,
-                        &mut |_| {},
-                        &mut scratch,
-                        &mut hooks,
-                    );
-                    gate.release();
-                    Some(outcome)
-                })
-            })
-            .collect();
-        let mut outs = Vec::with_capacity(n);
-        let mut panics: Vec<String> = Vec::new();
-        for (r, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(out) => outs.push(out),
-                Err(p) => panics.push(format!(
-                    "rack {r} baseline panicked: {}",
-                    panic_message(p.as_ref())
-                )),
-            }
-        }
-        if panics.is_empty() {
-            Ok(outs)
-        } else {
-            Err(panics.join("; "))
-        }
-    });
-    let baselines = baselines?;
-
-    let outcomes: Vec<BurstOutcome> = mains
+    let outcomes: Vec<BurstOutcome> = judge_racks(&rack_cfgs, mains, &rows, jobs)?
         .into_iter()
-        .zip(baselines)
-        .enumerate()
-        .map(|(r, ((main, _, _), baseline))| crate::engine::judge(&rack_cfgs[r], main, baseline))
+        .flatten()
         .collect();
 
     let route_stats: Vec<RackRouteStats> = (0..n)
         .map(|r| {
-            let col = &applied_cols[r];
+            let col: Vec<f64> = st.applied.iter().map(|row| row[r]).collect();
             let sum: f64 = col.iter().sum();
             RackRouteStats {
                 mean_factor: if col.is_empty() {
@@ -1004,6 +722,8 @@ mod tests {
     use super::*;
     use crate::config::{AvailabilityLevel, GreenConfig};
     use crate::datacenter::{DatacenterConfig, RackSpec};
+    use crate::pmk::Strategy;
+    use crate::rack::REROUTE_EPS;
     use gs_workload::apps::Application;
 
     fn template() -> EngineConfig {

@@ -58,6 +58,7 @@ pub mod pmk;
 pub mod predictor;
 pub mod profiler;
 pub mod qlearning;
+mod rack;
 pub mod report;
 pub mod serve;
 pub mod supervisor;

@@ -39,7 +39,6 @@
 use std::collections::VecDeque;
 use std::fs;
 use std::io::{BufRead, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -53,8 +52,7 @@ use gs_cluster::ServerSetting;
 use gs_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{InvariantAuditor, SiteFlows};
-use crate::broker::{conserved_factors, RackBelief, REROUTE_EPS};
+use crate::broker::conserved_factors;
 use crate::checkpoint::{config_fingerprint, LoopState};
 use crate::engine::{
     judge, run_once, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
@@ -66,7 +64,11 @@ use crate::net::{
 };
 use crate::pmk::Strategy;
 use crate::profiler::ProfileTable;
-use crate::supervisor::{panic_message, RackHealth, RackSupervisor};
+pub use crate::rack::DirectiveRow;
+use crate::rack::{
+    judge_racks, rack_seed, settle_site_epoch, JobGate, RackBelief, RackDirective, RackWorker,
+};
+use crate::supervisor::{RackHealth, RackSupervisor};
 
 /// Schema tag of a single-rack [`ServeSnapshot`] file.
 pub const SERVE_SCHEMA: &str = "gs-serve-1";
@@ -289,22 +291,6 @@ pub struct ServeSideState {
     /// Ticks the watchdog judged wedged (>= `WATCHDOG_FACTOR`× the
     /// deadline budget, or plan-scheduled in sim time).
     pub watchdog_stalls: u64,
-}
-
-/// One epoch's orchestrator directive, logged so a restarted (or
-/// resumed) rack worker can deterministically replay the epochs it
-/// missed: the same supply override, staleness verdict, demotion, and
-/// routed load factors the live run applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DirectiveRow {
-    /// Live supply override handed to every rack (None = trace).
-    pub supply_w: Option<f64>,
-    /// Telemetry declared stale this epoch.
-    pub stale: bool,
-    /// Forced ladder demotion, if any.
-    pub demote: Option<String>,
-    /// Per-rack conserved load factors.
-    pub factors: Vec<f64>,
 }
 
 /// The multi-rack orchestrator's snapshot-persisted state: everything
@@ -1209,173 +1195,10 @@ fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-rack serving: one supervised worker thread per rack, the
-// conserved-routing broker math between them, deterministic
-// restart-from-snapshot, and a whole-daemon v2 checkpoint.
+// Multi-rack serving: one supervised rack-runtime (`rack.rs`) worker per
+// rack, the conserved-routing broker math between them,
+// deterministic restart-from-snapshot, and a whole-daemon v2 checkpoint.
 // ---------------------------------------------------------------------------
-
-/// One epoch's command from the orchestrator to a rack worker.
-struct ServeRackDirective {
-    load_factor: f64,
-    supply_w: Option<f64>,
-    telemetry_stale: bool,
-    demote: Option<String>,
-    /// Drain at this epoch: capture a final state and exit cleanly.
-    last: bool,
-    /// Fault injection: panic the worker with this payload *before*
-    /// executing the epoch (the deterministic stand-in for a worker
-    /// crash — the epoch itself is never half-executed).
-    panic_with: Option<String>,
-}
-
-/// What a rack worker sends back on its message channel.
-enum RackWireMsg {
-    /// A boundary (or drain) [`LoopState`] capture.
-    Snapshot(Box<LoopState>),
-    /// The epoch settled: its record plus the applied settings.
-    Report(Box<EpochRecord>, Vec<ServerSetting>),
-    /// The worker is dying with this panic payload.
-    Died(String),
-}
-
-/// The worker-side hooks: every epoch blocks on a directive, applies
-/// it, and reports the settled record back. Snapshots ride the same
-/// channel so the orchestrator sees them in stream order.
-struct ServeRackHooks {
-    dir_rx: mpsc::Receiver<ServeRackDirective>,
-    msg_tx: mpsc::Sender<RackWireMsg>,
-    last: bool,
-}
-
-impl EpochHooks for ServeRackHooks {
-    fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        // A vanished orchestrator is unrecoverable for a worker; the
-        // panic routes into the supervisor's catch_unwind like any other
-        // death.
-        let Ok(d) = self.dir_rx.recv() else {
-            panic!("orchestrator disconnected");
-        };
-        if let Some(msg) = d.panic_with {
-            panic!("{msg}");
-        }
-        self.last = d.last;
-        TickDirective {
-            supply_w: d.supply_w,
-            telemetry_stale: d.telemetry_stale,
-            demote: d.demote,
-            load_factor: Some(d.load_factor),
-        }
-    }
-
-    fn after_epoch(&mut self, _k: u64, rec: &EpochRecord, settings: &[ServerSetting]) -> bool {
-        let _ = self
-            .msg_tx
-            .send(RackWireMsg::Report(Box::new(*rec), settings.to_vec()));
-        !self.last
-    }
-
-    fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self
-            .msg_tx
-            .send(RackWireMsg::Snapshot(Box::new(state.clone())));
-    }
-}
-
-/// The orchestrator's handle on one rack worker thread.
-struct RackWorker {
-    dir_tx: mpsc::Sender<ServeRackDirective>,
-    msg_rx: mpsc::Receiver<RackWireMsg>,
-    handle: std::thread::JoinHandle<Option<BurstOutcome>>,
-}
-
-/// Spawn rack worker: the rack's engine loop on its own thread behind
-/// `catch_unwind`, resuming from `resume` when given. A panic anywhere
-/// inside becomes a [`RackWireMsg::Died`] on the message channel — the
-/// orchestrator's recv loop is the only place deaths surface.
-fn spawn_rack_worker(
-    cfg: &EngineConfig,
-    resume: Option<LoopState>,
-    snapshot_every: u64,
-) -> RackWorker {
-    let (dir_tx, dir_rx) = mpsc::channel();
-    let (msg_tx, msg_rx) = mpsc::channel();
-    let cfg = cfg.clone();
-    let death_tx = msg_tx.clone();
-    let handle = std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            let profiles = ProfileTable::cached(cfg.app);
-            let mut scratch = EngineScratch::new();
-            let mut hooks = ServeRackHooks {
-                dir_rx,
-                msg_tx,
-                last: false,
-            };
-            let (outcome, _monitor, _policy) = run_once_resumable(
-                &cfg,
-                cfg.strategy,
-                profiles,
-                resume,
-                snapshot_every,
-                &mut |_| {},
-                &mut scratch,
-                &mut hooks,
-            );
-            outcome
-        }));
-        match result {
-            Ok(outcome) => Some(outcome),
-            Err(p) => {
-                let _ = death_tx.send(RackWireMsg::Died(panic_message(p.as_ref())));
-                None
-            }
-        }
-    });
-    RackWorker {
-        dir_tx,
-        msg_rx,
-        handle,
-    }
-}
-
-/// Build rack `r`'s directive from a logged row.
-fn directive_from_row(
-    row: &DirectiveRow,
-    rack: usize,
-    last: bool,
-    panic_with: Option<String>,
-) -> ServeRackDirective {
-    ServeRackDirective {
-        load_factor: row.factors.get(rack).copied().unwrap_or(1.0),
-        supply_w: row.supply_w,
-        telemetry_stale: row.stale,
-        demote: row.demote.clone(),
-        last,
-        panic_with,
-    }
-}
-
-/// Baseline-replay hooks: feed a finished run's directive history back
-/// through a `Strategy::Normal` run of one rack, so the floor judgment
-/// compares like-for-like — same routed load factors, supply overrides,
-/// and staleness verdicts (ladder demotions don't apply at the floor).
-struct RowReplayHooks<'a> {
-    rows: &'a [DirectiveRow],
-    rack: usize,
-}
-
-impl EpochHooks for RowReplayHooks<'_> {
-    fn before_epoch(&mut self, k: u64, _t: SimTime) -> TickDirective {
-        match self.rows.get(k as usize) {
-            Some(row) => TickDirective {
-                supply_w: row.supply_w,
-                telemetry_stale: row.stale,
-                demote: None,
-                load_factor: Some(row.factors.get(self.rack).copied().unwrap_or(1.0)),
-            },
-            None => TickDirective::default(),
-        }
-    }
-}
 
 /// Render one per-rack metrics line for the TCP fan-out (the `?rack=N`
 /// topic), never written to the durable aggregate file. The `rack` key
@@ -1389,14 +1212,13 @@ fn rack_metrics_line(rack: usize, epoch: u64, rec: &EpochRecord) -> Option<Strin
 }
 
 /// Where in the epoch protocol a rack worker died — decides how the
-/// restarted worker is re-synchronized with the fleet.
+/// restarted worker is re-synchronized with the fleet. Every restart
+/// first catches the replacement up to the top of epoch `k`, taking
+/// over each boundary capture it passes on the way.
 #[derive(Clone, Copy)]
 enum DeathPhase {
-    /// Before sending its epoch-`k` boundary capture: the replay re-hits
-    /// the boundary and the replacement's capture stands in.
-    Boundary,
-    /// Before the epoch-`k` directive was sent (admin re-admission
-    /// catch-up): the replacement just waits for the directive.
+    /// Before the epoch-`k` directive was sent (at the boundary capture,
+    /// or on an admin re-admission): catching up is the whole restart.
     PreTick,
     /// Holding or executing the epoch-`k` directive: the directive is
     /// re-sent (without injection) and the epoch re-executes.
@@ -1415,6 +1237,7 @@ enum DeathPhase {
 struct DcRun {
     rack_cfgs: Vec<EngineConfig>,
     every: u64,
+    gate: Arc<JobGate>,
     workers: Vec<Option<RackWorker>>,
     rack_states: Vec<Option<LoopState>>,
     sup: RackSupervisor,
@@ -1429,103 +1252,48 @@ impl DcRun {
         self.dc.probation_left = self.sup.probation_left.clone();
     }
 
-    /// Spawn a fresh worker for rack `r` from its last captured state
-    /// and deterministically replay the logged directives up to (not
-    /// including) epoch `k`. Replayed reports are discarded — those
-    /// epochs already settled into the aggregate stream. Returns the
-    /// caught-up worker, or the death message if it died again.
-    fn catch_up(&mut self, r: usize, k: u64) -> Result<RackWorker, String> {
-        let w = spawn_rack_worker(&self.rack_cfgs[r], self.rack_states[r].clone(), self.every);
-        let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
-        for j in from..k {
-            let d = directive_from_row(&self.dc.rows[j as usize], r, false, None);
-            if w.dir_tx.send(d).is_err() {
-                return Err(format!(
-                    "rack {r} worker exited during its epoch {j} replay"
-                ));
-            }
-            loop {
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                    Ok(RackWireMsg::Report(..)) => break,
-                    Ok(RackWireMsg::Died(m)) => return Err(m),
-                    Err(_) => {
-                        return Err(format!(
-                            "rack {r} worker exited during its epoch {j} replay"
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(w)
+    /// Spawn rack `r`'s worker from its last captured state, replaying
+    /// the logged directives up to (not including) epoch `k` — those
+    /// epochs already settled into the aggregate stream.
+    fn spawn(&self, r: usize, k: u64) -> RackWorker {
+        RackWorker::spawn(
+            r,
+            &self.rack_cfgs[r],
+            self.rack_states[r].clone(),
+            self.dc.rows[..k as usize].to_vec(),
+            1.0,
+            self.every,
+            &self.gate,
+        )
     }
 
-    /// Re-synchronize a caught-up replacement worker with the fleet and
-    /// install it. On `Err` the replacement died too.
-    fn finish_restart(
-        &mut self,
-        w: RackWorker,
-        r: usize,
-        k: u64,
-        phase: DeathPhase,
-    ) -> Result<(), String> {
-        match phase {
-            DeathPhase::Boundary => match w.msg_rx.recv() {
-                Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                Ok(RackWireMsg::Report(..)) => {
-                    return Err(format!(
-                        "protocol error: rack {r} sent telemetry in place of its epoch {k} \
-                         boundary capture"
-                    ));
-                }
-                Ok(RackWireMsg::Died(m)) => return Err(m),
-                Err(_) => {
-                    return Err(format!(
-                        "rack {r} worker exited at the epoch {k} snapshot boundary"
-                    ));
-                }
-            },
-            DeathPhase::PreTick => {}
-            DeathPhase::Tick { last } => {
-                let d = directive_from_row(&self.dc.rows[k as usize], r, last, None);
-                w.dir_tx.send(d).map_err(|_| {
-                    format!("rack {r} worker exited before its re-sent epoch {k} directive")
-                })?;
-            }
-            DeathPhase::DrainCapture => {
-                let d = directive_from_row(&self.dc.rows[k as usize], r, true, None);
-                w.dir_tx.send(d).map_err(|_| {
-                    format!("rack {r} worker exited before its re-sent drain directive")
-                })?;
-                // The re-executed epoch's report is already aggregated.
-                loop {
-                    match w.msg_rx.recv() {
-                        Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                        Ok(RackWireMsg::Report(..)) => break,
-                        Ok(RackWireMsg::Died(m)) => return Err(m),
-                        Err(_) => {
-                            return Err(format!(
-                                "rack {r} worker exited re-executing its drain epoch {k}"
-                            ));
-                        }
-                    }
-                }
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                    Ok(RackWireMsg::Report(..)) => {
-                        return Err(format!(
-                            "protocol error: rack {r} sent telemetry in place of its drain \
-                             capture"
-                        ));
-                    }
-                    Ok(RackWireMsg::Died(m)) => return Err(m),
-                    Err(_) => {
-                        return Err(format!("rack {r} worker exited before its drain capture"));
-                    }
-                }
+    /// Restart rack `r`, which died at epoch `k` in `phase`: catch a
+    /// fresh worker up to the top of epoch `k`, taking over every boundary
+    /// capture it passes, then re-synchronize it with the fleet. On `Err`
+    /// the replacement died too.
+    fn restart(&mut self, r: usize, k: u64, phase: DeathPhase) -> Result<(), String> {
+        let fresh = self.spawn(r, k);
+        let w = self.workers[r].insert(fresh);
+        let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
+        // The engine captures at every boundary past its resume epoch.
+        for b in from + 1..=k {
+            if self.every > 0 && b % self.every == 0 {
+                self.rack_states[r] = Some(w.recv_capture(b)?);
             }
         }
-        self.workers[r] = Some(w);
+        let redo = |last| RackDirective {
+            last,
+            ..RackDirective::from_row(&self.dc.rows[k as usize], r)
+        };
+        match phase {
+            DeathPhase::PreTick => {}
+            DeathPhase::Tick { last } => w.send(k, redo(last))?,
+            DeathPhase::DrainCapture => {
+                w.send(k, redo(true))?;
+                w.recv_report(k)?;
+                self.rack_states[r] = Some(w.recv_capture(k)?);
+            }
+        }
         Ok(())
     }
 
@@ -1544,8 +1312,7 @@ impl DcRun {
             }
             // Reap the dead thread before spawning its replacement.
             if let Some(w) = self.workers[r].take() {
-                drop(w.dir_tx);
-                let _ = w.handle.join();
+                let _ = w.join();
             }
             if !self.sup.record_death(r, msg.clone()) {
                 self.dc.racks_quarantined += 1;
@@ -1571,14 +1338,11 @@ impl DcRun {
             self.dc.rack_restarts += 1;
             let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
             self.dc.events.push(format!(
-                "epoch {k}: rack {r} worker died ({msg}); restart {}/{} from snapshot epoch {from}",
+                "epoch {k}: {msg}; restart {}/{} from snapshot epoch {from}",
                 self.sup.restarts_used[r], self.sup.max_restarts
             ));
-            match self.catch_up(r, k) {
-                Ok(w) => match self.finish_restart(w, r, k, phase) {
-                    Ok(()) => return true,
-                    Err(m) => msg = m,
-                },
+            match self.restart(r, k, phase) {
+                Ok(()) => return true,
                 Err(m) => msg = m,
             }
         }
@@ -1586,24 +1350,16 @@ impl DcRun {
 
     /// Wait for rack `r`'s drain capture (restarting on death).
     fn await_drain_capture(&mut self, r: usize, k: u64) {
-        let msg = {
-            let Some(w) = self.workers[r].as_ref() else {
-                return;
-            };
-            match w.msg_rx.recv() {
-                Ok(RackWireMsg::Snapshot(s)) => {
-                    self.rack_states[r] = Some(*s);
-                    return;
-                }
-                Ok(RackWireMsg::Report(..)) => {
-                    format!("protocol error: rack {r} sent telemetry in place of its drain capture")
-                }
-                Ok(RackWireMsg::Died(m)) => m,
-                Err(_) => format!("rack {r} worker exited before its drain capture"),
-            }
+        let Some(w) = self.workers[r].as_ref() else {
+            return;
         };
-        // On success the restart protocol re-takes the capture itself.
-        let _ = self.handle_death(r, k, msg, DeathPhase::DrainCapture);
+        match w.recv_capture(k) {
+            Ok(s) => self.rack_states[r] = Some(s),
+            // On success the restart protocol re-takes the capture itself.
+            Err(m) => {
+                let _ = self.handle_death(r, k, m, DeathPhase::DrainCapture);
+            }
+        }
     }
 
     /// Collect rack `r`'s epoch-`k` report, restarting through deaths.
@@ -1615,17 +1371,9 @@ impl DcRun {
         last: bool,
     ) -> Option<(EpochRecord, Vec<ServerSetting>)> {
         loop {
-            let msg = {
-                let w = self.workers[r].as_ref()?;
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => {
-                        self.rack_states[r] = Some(*s);
-                        continue;
-                    }
-                    Ok(RackWireMsg::Report(rec, settings)) => return Some((*rec, settings)),
-                    Ok(RackWireMsg::Died(m)) => m,
-                    Err(_) => format!("rack {r} worker exited during epoch {k}"),
-                }
+            let msg = match self.workers[r].as_ref()?.recv_report(k) {
+                Ok(report) => return Some(report),
+                Err(m) => m,
             };
             if !self.handle_death(r, k, msg, DeathPhase::Tick { last }) {
                 return None;
@@ -1708,11 +1456,11 @@ fn run_multi_rack(
     } else {
         driver.opts.snapshot_every
     };
-    // A homogeneous fleet of the served config with the broker's
-    // decorrelated-but-reproducible per-rack seed derivation.
+    // A homogeneous fleet of the served config with the rack runtime's
+    // per-rack seed derivation.
     let rack_cfgs: Vec<EngineConfig> = (0..n_racks)
         .map(|i| EngineConfig {
-            seed: driver.cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9),
+            seed: rack_seed(driver.cfg.seed, i),
             ..driver.cfg.clone()
         })
         .collect();
@@ -1763,20 +1511,20 @@ fn run_multi_rack(
         std::mem::take(&mut dc.restarts_used),
         std::mem::take(&mut dc.probation_left),
     );
-    let workers: Vec<Option<RackWorker>> = (0..n_racks)
-        .map(|r| {
-            (!sup.quarantined(r))
-                .then(|| spawn_rack_worker(&rack_cfgs[r], rack_states[r].clone(), every))
-        })
-        .collect();
     let mut run = DcRun {
         rack_cfgs,
         every,
-        workers,
+        gate: JobGate::new(n_racks),
+        workers: (0..n_racks).map(|_| None).collect(),
         rack_states,
         sup,
         dc,
     };
+    for r in 0..n_racks {
+        if !run.sup.quarantined(r) {
+            run.workers[r] = Some(run.spawn(r, start_k));
+        }
+    }
 
     let start_t = SimTime::from_secs_f64(driver.cfg.burst_start_hour * 3_600.0);
     let epoch_d = driver.cfg.epoch;
@@ -1786,31 +1534,17 @@ fn run_multi_rack(
         // whole-daemon v2 snapshot — same cadence, mutually consistent.
         if run.every > 0 && k > start_k && k % run.every == 0 {
             for r in 0..n_racks {
-                if run.sup.quarantined(r) {
+                let Some(w) = run.workers[r].as_ref() else {
                     continue;
-                }
-                let msg = {
-                    let Some(w) = run.workers[r].as_ref() else {
-                        continue;
-                    };
-                    match w.msg_rx.recv() {
-                        Ok(RackWireMsg::Snapshot(s)) => {
-                            run.rack_states[r] = Some(*s);
-                            continue;
-                        }
-                        Ok(RackWireMsg::Report(..)) => format!(
-                            "protocol error: rack {r} sent telemetry in place of its epoch {k} \
-                             boundary capture"
-                        ),
-                        Ok(RackWireMsg::Died(m)) => m,
-                        Err(_) => {
-                            format!("rack {r} worker exited at the epoch {k} snapshot boundary")
-                        }
-                    }
                 };
-                // Restarted (capture re-taken by the replay) or
-                // quarantined — either way this rack is settled.
-                let _ = run.handle_death(r, k, msg, DeathPhase::Boundary);
+                match w.recv_capture(k) {
+                    Ok(s) => run.rack_states[r] = Some(s),
+                    // Restarted (capture re-taken by the catch-up) or
+                    // quarantined — either way this rack is settled.
+                    Err(m) => {
+                        let _ = run.handle_death(r, k, m, DeathPhase::PreTick);
+                    }
+                }
             }
             run.dc.next_epoch = k;
             run.sync_supervisor();
@@ -1835,11 +1569,8 @@ fn run_multi_rack(
                 run.dc.events.push(format!(
                     "epoch {k}: admin re-admitted rack {r}; replaying from its last snapshot"
                 ));
-                match run.catch_up(r, k) {
-                    Ok(w) => run.workers[r] = Some(w),
-                    Err(m) => {
-                        let _ = run.handle_death(r, k, m, DeathPhase::PreTick);
-                    }
+                if let Err(m) = run.restart(r, k, DeathPhase::PreTick) {
+                    let _ = run.handle_death(r, k, m, DeathPhase::PreTick);
                 }
             }
         }
@@ -1868,11 +1599,6 @@ fn run_multi_rack(
         // Conserved routing factors from the last settled beliefs, and
         // the directive row every restart replay will reproduce.
         let factors = conserved_factors(&run.dc.beliefs, &rack_servers, run.dc.has_telemetry);
-        if factors.iter().any(|&f| f <= REROUTE_EPS)
-            && factors.iter().any(|&f| f > 1.0 + REROUTE_EPS)
-        {
-            run.dc.rerouted_epochs += 1;
-        }
         run.dc.rows.push(DirectiveRow {
             supply_w: tick.supply_w,
             stale: tick.telemetry_stale,
@@ -1902,10 +1628,14 @@ fn run_multi_rack(
                     }
                 })
                 .or_else(|| kill.then(|| format!("admin kill at epoch {k}")));
-            let d = directive_from_row(&run.dc.rows[k as usize], r, last, inject);
+            let d = RackDirective {
+                last,
+                panic_with: inject,
+                ..RackDirective::from_row(&run.dc.rows[k as usize], r)
+            };
             if let Some(w) = run.workers[r].as_ref() {
                 // A send to a just-died worker surfaces at collection.
-                let _ = w.dir_tx.send(d);
+                let _ = w.send(k, d);
             }
         }
         let mut reports: Vec<Option<(EpochRecord, Vec<ServerSetting>)>> =
@@ -1920,14 +1650,7 @@ fn run_multi_rack(
         // probation ladder on clean epochs.
         for (r, rep) in reports.iter().enumerate() {
             if let Some((rec, _)) = rep {
-                run.dc.beliefs[r] = RackBelief {
-                    re_supply_w: rec.re_supply_w,
-                    battery_soc: rec.battery_soc,
-                    live_servers: usize::from(rec.live_servers),
-                    demand_w: rec.demand_w,
-                    goodput_rps: rec.goodput_rps,
-                    stale: false,
-                };
+                run.dc.beliefs[r] = RackBelief::from_record(rec);
                 if run.sup.record_clean_epoch(r) {
                     run.dc
                         .events
@@ -1979,17 +1702,17 @@ fn run_multi_rack(
         driver.executed_this_run += 1;
         driver.epochs_executed += 1;
 
-        // Site conservation audit: the factor row must route exactly the
-        // fleet's load, and a dark rack must draw nothing.
-        let mut aud =
-            InvariantAuditor::with_violations(std::mem::take(&mut run.dc.site_audit_violations));
-        aud.check_site_epoch(&SiteFlows {
-            epoch_index: k as usize,
-            factors: run.dc.rows[k as usize].factors.clone(),
-            dark: run.dc.beliefs.iter().map(|b| b.live_servers == 0).collect(),
-            rack_demand_w: run.dc.beliefs.iter().map(|b| b.demand_w).collect(),
-        });
-        run.dc.site_audit_violations = aud.into_violations();
+        // Settle the site: a quarantined (dark) rack must draw nothing.
+        let dark = run.dc.beliefs.iter().map(|b| b.live_servers == 0).collect();
+        if settle_site_epoch(
+            k,
+            &run.dc.rows[k as usize].factors,
+            &run.dc.beliefs,
+            dark,
+            &mut run.dc.site_audit_violations,
+        ) {
+            run.dc.rerouted_epochs += 1;
+        }
 
         // Live rack-health mirror for the admin STATUS verb (runtime
         // observability only — never enters the deterministic stream).
@@ -2026,15 +1749,11 @@ fn run_multi_rack(
     }
 
     // Join the fleet for its outcomes (quarantined racks have none).
-    let mut rack_outs: Vec<Option<BurstOutcome>> = (0..n_racks).map(|_| None).collect();
-    for (r, out) in rack_outs.iter_mut().enumerate() {
-        if let Some(w) = run.workers[r].take() {
-            drop(w.dir_tx);
-            if let Ok(Some(o)) = w.handle.join() {
-                *out = Some(o);
-            }
-        }
-    }
+    let rack_outs: Vec<Option<BurstOutcome>> = run
+        .workers
+        .iter_mut()
+        .map(|w| w.take().and_then(RackWorker::join))
+        .collect();
 
     driver.metrics.drain();
     let net_summary = net_plane.map(NetPlane::stop);
@@ -2045,37 +1764,20 @@ fn run_multi_rack(
     // run's truncated window has none, exactly as single-rack — and a
     // resumed run's outcomes cover only the tail window, so they have
     // no comparable full-window baseline either.
-    let mut per_rack: Vec<(usize, BurstOutcome)> = Vec::new();
-    let mut floor_all = true;
-    let mut floor_any = false;
-    let mut scratch = EngineScratch::new();
-    for (r, out) in rack_outs.into_iter().enumerate() {
-        let Some(main) = out else { continue };
-        if drained || start_k > 0 {
-            per_rack.push((r, main));
-            continue;
-        }
-        let profiles = ProfileTable::cached(run.rack_cfgs[r].app);
-        let mut hooks = RowReplayHooks {
-            rows: &run.dc.rows,
-            rack: r,
-        };
-        let (baseline, _monitor, _policy) = run_once_resumable(
-            &run.rack_cfgs[r],
-            Strategy::Normal,
-            profiles,
-            None,
-            0,
-            &mut |_| {},
-            &mut scratch,
-            &mut hooks,
-        );
-        let judged = judge(&run.rack_cfgs[r], main, Some(baseline));
-        floor_all &= judged.floor_held;
-        floor_any = true;
-        per_rack.push((r, judged));
-    }
-    let floor_held = (!drained && floor_any).then_some(floor_all);
+    let judging = !drained && start_k == 0;
+    let rack_outs = if judging {
+        judge_racks(&run.rack_cfgs, rack_outs, &run.dc.rows, n_racks)
+            .map_err(|e| ServeError::Io(std::io::Error::other(e)))?
+    } else {
+        rack_outs
+    };
+    let per_rack: Vec<(usize, BurstOutcome)> = rack_outs
+        .into_iter()
+        .enumerate()
+        .filter_map(|(r, o)| Some((r, o?)))
+        .collect();
+    let floor_held =
+        (judging && !per_rack.is_empty()).then(|| per_rack.iter().all(|(_, o)| o.floor_held));
 
     let audit_violations = run.dc.site_audit_violations.len()
         + per_rack

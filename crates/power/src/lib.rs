@@ -11,16 +11,11 @@
 //!   efficiency, and cycle-life accounting.
 //! * [`pss`] — the Power Source Selector: per-epoch classification into the
 //!   paper's three supply cases and the resulting charge/discharge plan.
-//! * [`pdu`] — the power-delivery hierarchy: utility feed, circuit breakers
-//!   with thermal trip behaviour, PDUs with a dual (grid + green) bus.
-//! * [`grid`] — the capped utility feed.
+//! * [`pdu`] — the grid bus's thermal circuit breaker.
 //! * [`meter`] — per-source energy accounting.
 
 pub mod backup;
-pub mod bank;
 pub mod battery;
-pub mod grid;
-pub mod inverter;
 pub mod meter;
 pub mod pdu;
 pub mod pss;
@@ -29,12 +24,9 @@ pub mod trace_io;
 pub mod wind;
 
 pub use backup::{AtsSource, AutomaticTransferSwitch, DieselGenerator};
-pub use bank::BatteryBank;
 pub use battery::{Battery, BatterySpec};
-pub use grid::GridSupply;
-pub use inverter::Inverter;
 pub use meter::PowerMeter;
-pub use pdu::{CircuitBreaker, Pdu};
+pub use pdu::CircuitBreaker;
 pub use pss::{PowerSourceSelector, SafeSupplyEstimator, SupplyCase, SupplyPlan};
 pub use solar::{PvArray, SolarTrace, SolarTraceError, WeatherModel};
 pub use wind::{TurbineCurve, WindModel};

@@ -1,4 +1,4 @@
-//! The power-delivery hierarchy: circuit breakers and dual-bus PDUs.
+//! The grid bus's circuit breaker.
 //!
 //! Paper §II connects the renewable supply at the **PDU level** (not the
 //! utility substation), giving each PDU a dual feed: a grid bus behind a
@@ -84,40 +84,6 @@ impl CircuitBreaker {
     }
 }
 
-/// A dual-bus power distribution unit: a grid bus behind a breaker plus a
-/// green bus fed by the local PV array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Pdu {
-    /// Breaker protecting the grid bus.
-    pub breaker: CircuitBreaker,
-    /// Peak capacity of the green bus wiring (W); renewable beyond this is
-    /// curtailed at the PDU.
-    pub green_bus_capacity_w: f64,
-}
-
-impl Pdu {
-    /// A PDU with a grid breaker rated `grid_rating_w` and a green bus
-    /// sized for `green_capacity_w`.
-    pub fn new(grid_rating_w: f64, green_capacity_w: f64) -> Self {
-        Pdu {
-            breaker: CircuitBreaker::new(grid_rating_w),
-            green_bus_capacity_w: green_capacity_w,
-        }
-    }
-
-    /// Renewable power deliverable through the green bus right now given
-    /// `produced_w` at the array.
-    pub fn green_deliverable(&self, produced_w: f64) -> f64 {
-        produced_w.clamp(0.0, self.green_bus_capacity_w)
-    }
-
-    /// Advance one interval with the given bus loads; returns `true` if the
-    /// grid breaker tripped.
-    pub fn advance(&mut self, grid_load_w: f64, dt: SimDuration) -> bool {
-        self.breaker.advance(grid_load_w, dt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,13 +145,5 @@ mod tests {
         cb.reset();
         assert!(!cb.is_tripped());
         assert!(!cb.advance(90.0, SimDuration::from_secs(1)));
-    }
-
-    #[test]
-    fn pdu_green_bus_clamps() {
-        let pdu = Pdu::new(1000.0, 635.25);
-        assert_eq!(pdu.green_deliverable(-5.0), 0.0);
-        assert_eq!(pdu.green_deliverable(300.0), 300.0);
-        assert_eq!(pdu.green_deliverable(900.0), 635.25);
     }
 }

@@ -46,7 +46,8 @@ fn main() {
         usage("missing subcommand");
     }
     let cmd = args.remove(0);
-    let (flags, positional) = parse_flags(&args);
+    let (flags, positional) = parse_flags(&args, known_flags(&cmd))
+        .unwrap_or_else(|flag| usage(&format!("unknown flag --{flag} for `greensprint {cmd}`")));
     match cmd.as_str() {
         "simulate" => simulate(&flags),
         "campaign" => campaign(&flags),
@@ -65,13 +66,167 @@ fn main() {
 }
 
 /// Split `--key value` pairs (and bare `--switch`es) from positional args.
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// Flags of every subcommand that builds an engine configuration.
+const ENGINE_FLAGS: &[&str] = &[
+    "scenario",
+    "app",
+    "config",
+    "strategy",
+    "availability",
+    "minutes",
+    "intensity",
+    "seed",
+    "analytic",
+    "hysteresis",
+    "trace",
+    "warm-policy",
+];
+
+/// The guardrail switches (see `apply_guardrail_flags`).
+const GUARDRAIL_FLAGS: &[&str] = &["guardrail", "fallback", "quarantine-dir"];
+
+/// Flags of the supervised sweep executor and its journal.
+const SUPERVISION_FLAGS: &[&str] = &[
+    "jobs",
+    "checkpoint",
+    "resume",
+    "retries",
+    "task-timeout-epochs",
+];
+
+/// Every flag `cmd` reads, or `None` when `cmd` is not a subcommand that
+/// takes flags (help and unknown subcommands report their own usage).
+fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let (own, shared): (&[&str], &[&[&str]]) = match cmd {
+        "simulate" => (
+            &["checkpoint", "snapshot-every", "save-policy"],
+            &[ENGINE_FLAGS, GUARDRAIL_FLAGS],
+        ),
+        "campaign" => (
+            &["days", "spikes", "checkpoint", "snapshot-every"],
+            &[ENGINE_FLAGS, GUARDRAIL_FLAGS],
+        ),
+        "sweep" => (
+            &[
+                "apps",
+                "strategies",
+                "availabilities",
+                "minutes",
+                "configs",
+                "days",
+                "spikes",
+                "intensity",
+                "seed",
+                "analytic",
+            ],
+            &[SUPERVISION_FLAGS, GUARDRAIL_FLAGS],
+        ),
+        "chaos" => (
+            &[
+                "plan",
+                "fault-seed",
+                "runs",
+                "fleet",
+                "crashes",
+                "flaps",
+                "stragglers",
+            ],
+            &[SUPERVISION_FLAGS, ENGINE_FLAGS, GUARDRAIL_FLAGS],
+        ),
+        "datacenter" => (
+            &[
+                "jobs",
+                "racks",
+                "apps",
+                "configs",
+                "strategies",
+                "availability",
+                "minutes",
+                "intensity",
+                "seed",
+                "analytic",
+                "site-plan",
+                "site-seed",
+                "checkpoint",
+                "resume",
+                "snapshot-every",
+            ],
+            &[],
+        ),
+        "serve" => (
+            &[
+                "sim-time",
+                "rate",
+                "throttle-ms",
+                "tick-budget-ms",
+                "overrun",
+                "stale-after",
+                "disturb-seed",
+                "metrics",
+                "heartbeat",
+                "snapshot",
+                "snapshot-every",
+                "feed",
+                "control",
+                "sysfs-root",
+                "retries",
+                "resume",
+                "drain-after",
+                "metrics-buffer",
+                "max-line-len",
+                "racks",
+                "rack-restarts",
+                "rack-snapshot-every",
+                "listen",
+                "metrics-listen",
+                "admin-token",
+                "max-conns",
+                "conn-timeout-ms",
+            ],
+            &[ENGINE_FLAGS, GUARDRAIL_FLAGS],
+        ),
+        "resume" => (
+            &[
+                "jobs",
+                "retries",
+                "task-timeout-epochs",
+                "snapshot-every",
+                "save-policy",
+            ],
+            &[],
+        ),
+        "qtable" => (&[], &[]),
+        "trace" => (&["days", "seed", "out"], &[]),
+        "tco" => (&["hours"], &[]),
+        "bench" => (&["quick", "force", "reps", "out"], &[]),
+        _ => return None,
+    };
+    Some(
+        shared
+            .iter()
+            .flat_map(|s| s.iter())
+            .chain(own)
+            .copied()
+            .collect(),
+    )
+}
+
+/// Split `args` into `--key [value]` flags and positionals. With a
+/// `known` list, the first flag outside it is returned as the error, so a
+/// typo fails loudly instead of silently running without it.
+fn parse_flags(
+    args: &[String],
+    known: Option<Vec<&str>>,
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            if known.as_ref().is_some_and(|k| !k.contains(&key)) {
+                return Err(key.to_string());
+            }
             let next_is_value = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
             if next_is_value {
                 flags.insert(key.to_string(), args[i + 1].clone());
@@ -85,7 +240,7 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
             i += 1;
         }
     }
-    (flags, positional)
+    Ok((flags, positional))
 }
 
 fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {

@@ -519,3 +519,33 @@ fn bad_arguments_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("--out"), "{stderr}");
 }
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    // A flag the subcommand does not read must fail up front: silently
+    // ignoring `serve --checkpoint` would run a daemon without snapshots.
+    let cases: [&[&str]; 5] = [
+        &["serve", "--sim-time", "--checkpoint", "x"],
+        &["sweep", "--job", "2"],
+        &["datacenter", "--analytic", "--app", "jbb"],
+        &["simulate", "--analytic", "--snapshot", "x"],
+        &["tco", "--hour", "5"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!(
+                "unknown flag {flag} for `greensprint {}`",
+                args[0]
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

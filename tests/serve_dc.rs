@@ -8,6 +8,8 @@
 use greensprint_repro::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gs-serve-dc-{}-{name}", std::process::id()));
@@ -401,5 +403,137 @@ fn golden_multi_rack_stream_is_byte_identical() {
              (if the change is intended, regenerate with GOLDEN_REGEN=1)"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Differential check between the two callers of the lockstep rack
+/// runtime: batch `datacenter` and multi-rack `serve` on the same
+/// homogeneous, fault-free fleet must route identically. The broker's
+/// conserved factors for the first `K` epochs equal the factor rows
+/// serve logged into its drained v2 snapshot, bit for bit.
+#[test]
+fn batch_and_serve_route_a_fleet_identically() {
+    const RACKS: usize = 3;
+    const K: u64 = 8;
+    let dir = tmp_dir("batch-vs-serve");
+    let snap = dir.join("snap.json");
+
+    let mut cfg = serve_cfg(12);
+    cfg.guardrail.enabled = false;
+    let dc = DatacenterConfig {
+        racks: (0..RACKS)
+            .map(|_| RackSpec {
+                app: cfg.app,
+                green: cfg.green.clone(),
+                strategy: cfg.strategy,
+            })
+            .collect(),
+        template: cfg.clone(),
+        site_fault_plan: None,
+    };
+    let batch = try_run_datacenter(&dc, 2).expect("batch datacenter");
+
+    let args = ServeArgs {
+        cfg,
+        options: ServeOptions {
+            racks: RACKS as u32,
+            ..ServeOptions::default()
+        },
+        sim_time: true,
+        snapshot_path: Some(snap.clone()),
+        drain_after_epochs: Some(K),
+        ..ServeArgs::default()
+    };
+    let summary = serve(args).expect("drained multi-rack serve");
+    assert!(summary.drained);
+    let text = std::fs::read_to_string(&snap).unwrap();
+    let snapshot = ServeSnapshot::from_json(&text).expect("v2 snapshot");
+    assert_eq!(snapshot.schema, SERVE_SCHEMA_V2);
+    let rows = snapshot.dc.expect("orchestrator state").rows;
+    assert_eq!(rows.len() as u64, K);
+
+    for (k, (want, row)) in batch.factors.iter().zip(&rows).enumerate() {
+        assert_eq!(
+            want, &row.factors,
+            "batch and serve routing diverge at epoch {k}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Admin `RESTART-RACK` re-admits a rack quarantined before its first
+/// capture: the replacement replays the directive log from epoch 0,
+/// handing over every boundary capture it passes, and rejoins the fleet
+/// with the site audit clean.
+#[test]
+fn admin_restart_readmits_a_quarantined_rack_through_catch_up() {
+    let dir = tmp_dir("readmit");
+    let metrics = dir.join("metrics.jsonl");
+    let ready = Arc::new(OnceLock::new());
+
+    let cfg = serve_cfg(40);
+    let mut args = dc_args(
+        cfg,
+        3,
+        DisturbancePlan {
+            rack_panics: vec![(2, 1)],
+            ..DisturbancePlan::default()
+        },
+    );
+    args.options.rack_restarts = 0;
+    args.metrics_path = Some(metrics.clone());
+    // Pacing only: keeps the run alive while the admin client acts.
+    args.throttle_ms = 50;
+    args.net = Some(NetConfig {
+        listen: Some("127.0.0.1:0".to_string()),
+        admin_token: Some("t0k".to_string()),
+        ready: Some(Arc::clone(&ready)),
+        ..NetConfig::default()
+    });
+    let daemon = std::thread::spawn(move || serve(args));
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        if let Some(a) = ready.get().and_then(|a: &NetAddrs| a.listen) {
+            break a;
+        }
+        assert!(Instant::now() < deadline, "listener never came up");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    // Wait past two snapshot boundaries, so the catch-up crosses both.
+    let t = Duration::from_secs(2);
+    loop {
+        let reply = admin_request(addr, "STATUS t0k", t).unwrap();
+        let status: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        let epoch = status
+            .get("epoch")
+            .and_then(|e| e.as_number())
+            .and_then(|n| n.as_u64())
+            .unwrap_or(0);
+        if epoch >= 12 && reply.contains("quarantined") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "rack 1 was never quarantined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        admin_request(addr, "RESTART-RACK 1 t0k", t).unwrap(),
+        "ok restart-rack 1"
+    );
+    let summary = daemon.join().unwrap().expect("multi-rack serve");
+
+    assert_eq!(summary.racks_quarantined, 1, "{summary:?}");
+    assert!(
+        summary
+            .rack_events
+            .iter()
+            .any(|e| e.contains("admin re-admitted rack 1")),
+        "{:?}",
+        summary.rack_events
+    );
+    assert_ne!(summary.rack_health[1], RackHealth::Quarantined);
+    assert_eq!(summary.audit_violations, 0, "{summary:?}");
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(text.lines().count(), 40);
     let _ = std::fs::remove_dir_all(&dir);
 }
