@@ -92,21 +92,26 @@ impl ServerSetting {
         self.freq_ghz() / MAX_FREQ_GHZ
     }
 
+    /// Whether both knobs lie inside the setting space. [`Self::new`]
+    /// never builds an out-of-range setting, but a deserialized one can
+    /// carry any values.
+    pub fn in_range(&self) -> bool {
+        (NORMAL_CORES..=MAX_CORES).contains(&self.cores)
+            && (self.freq_idx as usize) < NUM_FREQ_LEVELS
+    }
+
     /// True if this setting exceeds Normal mode in either dimension.
     pub fn is_sprinting(&self) -> bool {
         *self != Self::normal()
     }
 
+    /// Size of the setting space `S`: 7 core counts × 9 frequencies.
+    pub const COUNT: usize = (MAX_CORES - NORMAL_CORES + 1) as usize * NUM_FREQ_LEVELS;
+
     /// Every setting in the two-dimensional space `S`, ordered by
-    /// (cores, frequency) — 7 core counts × 9 frequencies = 63 actions.
-    pub fn all() -> Vec<ServerSetting> {
-        let mut v = Vec::with_capacity((MAX_CORES - NORMAL_CORES + 1) as usize * NUM_FREQ_LEVELS);
-        for cores in NORMAL_CORES..=MAX_CORES {
-            for f in 0..NUM_FREQ_LEVELS as u8 {
-                v.push(ServerSetting::new(cores, f));
-            }
-        }
-        v
+    /// (cores, frequency), so `all()[i].action_index() == i`.
+    pub fn all() -> [ServerSetting; Self::COUNT] {
+        std::array::from_fn(Self::from_action_index)
     }
 
     /// The *Parallel* strategy's one-dimensional slice: frequency pinned to

@@ -444,6 +444,11 @@ pub fn resume_datacenter_snapshot(
     if snap.racks.len() != cfg.racks.len() || snap.broker.pinned.len() != cfg.racks.len() {
         return Err("checkpoint rack count does not match its configuration".to_string());
     }
+    for (r, state) in snap.racks.iter().enumerate() {
+        state
+            .check_restorable(cfg.racks[r].green.green_servers)
+            .map_err(|e| format!("rack {r}: {e}"))?;
+    }
     run_stepped(
         &cfg,
         jobs,
@@ -1009,6 +1014,22 @@ mod tests {
         snap.cfg.template.seed ^= 1;
         let err = resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_a_tampered_rack_state() {
+        let cfg = fleet(2);
+        let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
+        run_datacenter_with_snapshots(&cfg, 2, 3, &mut |s| snaps.push(s.clone())).unwrap();
+        let mut snap = snaps[0].clone();
+        snap.racks[1]
+            .prev_settings
+            .push(gs_cluster::ServerSetting::normal());
+        let err = resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).unwrap_err();
+        assert!(
+            err.contains("rack 1") && err.contains("`prev_settings`"),
+            "{err}"
+        );
     }
 
     #[test]

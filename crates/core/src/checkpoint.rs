@@ -24,11 +24,11 @@
 //! whose physics changed underneath it.
 
 use crate::campaign::CampaignConfig;
-use crate::engine::{BurstOutcome, EngineConfig, EpochRecord};
+use crate::engine::{BurstOutcome, EngineConfig, EngineError, EpochRecord};
 use crate::monitor::Monitor;
 use crate::pmk::ActuationWatchdog;
 use crate::predictor::{ClearSkyIndexedPredictor, Predictor};
-use crate::qlearning::{QLearner, QState};
+use crate::qlearning::{PolicyError, QLearner, QState};
 use crate::sweep::{SweepPoint, SweepResult};
 use gs_cluster::ServerSetting;
 use gs_power::battery::Battery;
@@ -173,6 +173,46 @@ pub struct LoopState {
     /// Human-readable fleet crash/flap/rejoin log.
     #[serde(default)]
     pub fleet_events: Vec<String>,
+}
+
+impl LoopState {
+    /// Check the parts of a deserialized state that the epoch loop indexes
+    /// with, for a fleet of `servers`. A snapshot's fingerprint covers
+    /// only its configuration, so a tampered state must fail here, with a
+    /// typed error naming the field, rather than panic mid-run.
+    pub(crate) fn check_restorable(&self, servers: usize) -> Result<(), EngineError> {
+        let bad = |field: &str, why: String| {
+            Err(EngineError::SnapshotMismatch(format!(
+                "snapshot field `{field}` {why}"
+            )))
+        };
+        if let Some(learner) = &self.learner {
+            match learner.validate() {
+                // A chaos-poisoned table is live state: the run carries it
+                // on (and the guardrail, when on, quarantines it).
+                Ok(()) | Err(PolicyError::NonFinite { .. }) => {}
+                Err(e) => return bad("learner", e.to_string()),
+            }
+        }
+        if let Some((s, a)) = self.pending_q {
+            if !s.in_range() || !a.in_range() {
+                return bad("pending_q", format!("is out of range: {s:?}, {a:?}"));
+            }
+        }
+        if self.prev_settings.len() != servers {
+            return bad(
+                "prev_settings",
+                format!(
+                    "has {} entries for a {servers}-server rack",
+                    self.prev_settings.len()
+                ),
+            );
+        }
+        if let Some(a) = self.prev_settings.iter().find(|a| !a.in_range()) {
+            return bad("prev_settings", format!("holds an out-of-range {a:?}"));
+        }
+        Ok(())
+    }
 }
 
 /// Which of the two runs inside an experiment the snapshot was taken in.

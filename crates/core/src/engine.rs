@@ -676,6 +676,11 @@ pub fn resume_snapshot(
             snap.fingerprint
         )));
     }
+    let servers = match &snap.scope {
+        SnapshotScope::Burst(cfg) => cfg.green.green_servers,
+        SnapshotScope::Campaign(ccfg) => ccfg.engine.green.green_servers,
+    };
+    snap.state.check_restorable(servers)?;
     match snap.scope.clone() {
         SnapshotScope::Burst(cfg) => resume_burst(cfg, snap, every_epochs, sink),
         SnapshotScope::Campaign(ccfg) => {
@@ -1448,12 +1453,13 @@ pub(crate) fn run_window_resumable(
                       rng: &mut SimRng,
                       capture_state: &mut Option<QState>,
                       fleet: &mut FleetState| {
-            // Learner-free strategies decide as a pure function of
-            // (renewable share, battery budgets, hysteresis incumbent) —
-            // everything else is epoch-constant — so one memo entry serves
-            // every server presenting the same inputs. Hybrid consumes rng
-            // inside `choose`, so it is never memoized.
-            let memoize = pmk.is_learner_free();
+            // An rng-free PMK decides as a pure function of (renewable
+            // share, battery budgets, hysteresis incumbent) — everything
+            // else, Hybrid's Q-table included, is constant across both
+            // passes of an epoch — so one memo entry serves every server
+            // presenting the same inputs. Hybrid with ε > 0 draws from
+            // `rng` inside `choose`, so it is never memoized.
+            let memoize = pmk.is_rng_free();
             let mut re_unclaimed = re_plan_w;
             for i in 0..n {
                 if !fleet.live[i] {
@@ -1473,6 +1479,13 @@ pub(crate) fn run_window_resumable(
                 } else {
                     fleet.sustained_horizon_w[i]
                 };
+                if Some(i) == rep {
+                    if let Some(learner) = pmk.learner_mut() {
+                        // Same bits as `PmkContext::instant_budget_w`.
+                        *capture_state =
+                            Some(learner.state(re_share + fleet.instant_w[i], load_pred));
+                    }
+                }
                 let key = (
                     re_share.to_bits(),
                     fleet.instant_w[i].to_bits(),
@@ -1493,13 +1506,6 @@ pub(crate) fn run_window_resumable(
                             battery_instant_w: fleet.instant_w[i],
                             battery_sustained_w: sustained,
                         };
-                        if Some(i) == rep {
-                            if let Some(learner) = pmk.learner_mut() {
-                                *capture_state = Some(
-                                    learner.state(ctx.instant_budget_w(), ctx.predicted_load_rps),
-                                );
-                            }
-                        }
                         let s = pmk.choose(profiles, &ctx, rng);
                         let s = pmk.apply_hysteresis(profiles, &ctx, fleet.prev_settings[i], s);
                         if memoize {
@@ -2895,6 +2901,67 @@ mod tests {
             }
             other => panic!("expected SnapshotMismatch, got {other:?}"),
         }
+    }
+
+    /// A mid-run Hybrid snapshot, with a learner and a pending update.
+    fn hybrid_snapshot() -> EngineSnapshot {
+        let mut snaps = Vec::new();
+        Engine::new(EngineConfig {
+            strategy: Strategy::Hybrid,
+            availability: AvailabilityLevel::Medium,
+            burst_duration: SimDuration::from_mins(10),
+            ..quick_cfg()
+        })
+        .run_full_with_snapshots(5, &mut |s| snaps.push(s.clone()))
+        .unwrap();
+        let snap = snaps.swap_remove(0);
+        assert!(snap.state.learner.is_some() && snap.state.pending_q.is_some());
+        snap
+    }
+
+    /// Resume `snap`, expecting a typed refusal that names `field`.
+    fn assert_refused(snap: EngineSnapshot, field: &str) {
+        match resume_snapshot(snap, 0, &mut |_| {}) {
+            Err(EngineError::SnapshotMismatch(m)) => {
+                assert!(m.contains(&format!("`{field}`")), "{m}");
+            }
+            other => panic!("expected SnapshotMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_refuses_an_out_of_range_pending_update() {
+        let mut snap = hybrid_snapshot();
+        if let Some((s, _)) = &mut snap.state.pending_q {
+            s.power_level = 420;
+        }
+        assert_refused(snap, "pending_q");
+    }
+
+    #[test]
+    fn resume_refuses_a_short_q_table() {
+        let mut snap = hybrid_snapshot();
+        let mut v: serde_json::Value =
+            serde_json::from_str(&snap.state.learner.take().unwrap().to_json()).unwrap();
+        if let serde_json::Value::Object(fields) = &mut v {
+            if let Some((_, serde_json::Value::Array(cells))) =
+                fields.iter_mut().find(|(k, _)| k == "table")
+            {
+                cells.pop();
+            }
+        }
+        let short =
+            crate::qlearning::QLearner::from_json_unchecked(&serde_json::to_string(&v).unwrap())
+                .unwrap();
+        snap.state.learner = Some(short);
+        assert_refused(snap, "learner");
+    }
+
+    #[test]
+    fn resume_refuses_prev_settings_of_the_wrong_length() {
+        let mut snap = hybrid_snapshot();
+        snap.state.prev_settings.pop();
+        assert_refused(snap, "prev_settings");
     }
 
     // ---- fault injection ----

@@ -31,9 +31,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Key of one memoized per-server sprint decision within an epoch: the
 /// bits of `(re_share, battery_instant, battery_sustained)` plus the
-/// hysteresis incumbent. Everything else a learner-free decision depends
-/// on (predicted load, the profile table, the hysteresis band) is
-/// constant within an epoch, so equal keys provably yield equal settings.
+/// hysteresis incumbent. Everything else an rng-free decision depends on
+/// (predicted load, the profile table, the hysteresis band, Hybrid's
+/// Q-table) is constant within an epoch, so equal keys provably yield
+/// equal settings.
 pub(crate) type DecisionKey = (u64, u64, u64, ServerSetting);
 
 /// Per-server state as parallel arrays, resized once per run and
@@ -73,7 +74,7 @@ pub(crate) struct FleetState {
     /// `(soc, max_dod)` per battery, lent to the invariant auditor.
     pub socs: Vec<(f64, f64)>,
     // --- per-epoch memo tables ------------------------------------------
-    /// Learner-free sprint decisions already made this epoch.
+    /// Rng-free sprint decisions already made this epoch.
     pub decision_memo: InlineMemo<DecisionKey, ServerSetting>,
     /// Analytic measurements already taken this epoch, by setting (the
     /// served rate is constant within an epoch). A short linear-scan

@@ -110,8 +110,6 @@ pub struct Pmk {
     parallel_actions: Vec<ServerSetting>,
     /// Pacing's action slice (max cores, frequencies) plus Normal.
     pacing_actions: Vec<ServerSetting>,
-    /// The full 2-D space for Hybrid.
-    all_actions: Vec<ServerSetting>,
     /// Hybrid's learner (present only for [`Strategy::Hybrid`]).
     learner: Option<QLearner>,
     /// Reusable buffer for Hybrid's per-decision feasible-action filter,
@@ -145,7 +143,6 @@ impl Pmk {
             hysteresis: 0.0,
             parallel_actions,
             pacing_actions,
-            all_actions: ServerSetting::all(),
             learner,
             feasible_buf: Vec::new(),
         }
@@ -189,12 +186,13 @@ impl Pmk {
         self.learner.as_mut()
     }
 
-    /// True when this PMK carries no learner — its decisions are then a
-    /// pure function of `(profiles, ctx, incumbent)` and consume no
-    /// randomness, which is what makes per-epoch decision memoization
-    /// sound (see `FleetState::decision_memo`).
-    pub fn is_learner_free(&self) -> bool {
-        self.learner.is_none()
+    /// True when [`Self::choose`] consumes no randomness: no learner, or
+    /// a learner that never explores (ε = 0, the paper's setting). Its
+    /// decisions are then a pure function of `(profiles, ctx, incumbent)`
+    /// and the learner's table, which is what makes per-epoch decision
+    /// memoization sound (see `FleetState::decision_memo`).
+    pub fn is_rng_free(&self) -> bool {
+        self.learner.as_ref().is_none_or(|l| l.epsilon == 0.0)
     }
 
     /// Choose the sprint setting for one server this epoch.
@@ -219,14 +217,14 @@ impl Pmk {
             Strategy::Pacing => self.budgeted(profiles, &self.pacing_actions, ctx),
             Strategy::Hybrid => {
                 let learner = self.learner.as_ref().expect("hybrid has a learner");
+                let budget_w = ctx.instant_budget_w();
                 self.feasible_buf.clear();
                 self.feasible_buf
-                    .extend(self.all_actions.iter().copied().filter(|&s| {
+                    .extend(ServerSetting::all().into_iter().filter(|&s| {
                         s == ServerSetting::normal()
-                            || profiles.planned_power_w(s, ctx.predicted_load_rps)
-                                <= ctx.instant_budget_w()
+                            || profiles.planned_power_w(s, ctx.predicted_load_rps) <= budget_w
                     }));
-                let state = learner.state(ctx.instant_budget_w(), ctx.predicted_load_rps);
+                let state = learner.state(budget_w, ctx.predicted_load_rps);
                 learner.best_action(state, &self.feasible_buf, rng)
             }
         }
@@ -457,6 +455,34 @@ mod tests {
         assert_eq!(s, ServerSetting::normal());
         let s = pmk.choose(&p, &ctx(120.0, 0.0, 0.0), &mut rng);
         assert!(p.planned_power_w(s, 1e9) <= 120.0 + 1e-9, "chose {s}");
+    }
+
+    #[test]
+    fn hybrid_at_zero_epsilon_draws_no_randomness() {
+        let p = profiles();
+        let mut pmk = Pmk::new(Strategy::Hybrid, &p);
+        assert!(pmk.is_rng_free(), "the paper's ε = 0 is memoizable");
+        let mut rng = SimRng::seed_from_u64(10);
+        let mut untouched = rng.clone();
+        let c = ctx(140.0, 30.0, 0.0);
+        let first = pmk.choose(&p, &c, &mut rng);
+        assert_eq!(pmk.choose(&p, &c, &mut rng), first, "equal contexts");
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "rng advanced");
+    }
+
+    #[test]
+    fn hybrid_exploring_draws_randomness_and_is_not_memoizable() {
+        let p = profiles();
+        let mut pmk = Pmk::new(Strategy::Hybrid, &p);
+        pmk.learner_mut().unwrap().epsilon = 0.5;
+        assert!(!pmk.is_rng_free());
+        let mut rng = SimRng::seed_from_u64(11);
+        let mut untouched = rng.clone();
+        pmk.choose(&p, &ctx(140.0, 30.0, 0.0), &mut rng);
+        assert_ne!(rng.next_u64(), untouched.next_u64(), "rng untouched");
+        for strat in [Strategy::Normal, Strategy::Greedy, Strategy::Pacing] {
+            assert!(Pmk::new(strat, &p).is_rng_free(), "{strat}");
+        }
     }
 
     #[test]

@@ -207,9 +207,8 @@ impl QLearner {
     /// A learner with the paper's constants, quantizing against the given
     /// application maxima.
     pub fn new(max_power_w: f64, max_load_rps: f64) -> Self {
-        let n_actions = ServerSetting::all().len();
         QLearner {
-            table: vec![0.0; QState::COUNT * n_actions],
+            table: vec![0.0; QState::COUNT * ServerSetting::COUNT],
             learning_rate: PAPER_LEARNING_RATE,
             discount: PAPER_DISCOUNT,
             epsilon: 0.0,
@@ -248,13 +247,16 @@ impl QLearner {
         }
     }
 
-    fn cell(&self, s: QState, a: ServerSetting) -> usize {
-        s.index() * ServerSetting::all().len() + a.action_index()
+    /// The table cells of state `s`, one per action in
+    /// [`ServerSetting::action_index`] order.
+    fn row(s: QState) -> std::ops::Range<usize> {
+        let start = s.index() * ServerSetting::COUNT;
+        start..start + ServerSetting::COUNT
     }
 
     /// Current table value.
     pub fn value(&self, s: QState, a: ServerSetting) -> f64 {
-        self.table[self.cell(s, a)]
+        self.table[Self::row(s)][a.action_index()]
     }
 
     /// Seed the table from profiling data: for every state and action,
@@ -269,7 +271,8 @@ impl QLearner {
                 };
                 let supply = power_level as f64 * QUANT_STEP * self.max_power_w;
                 let offered = load_level as f64 * QUANT_STEP * self.max_load_rps;
-                for a in ServerSetting::all() {
+                let row = &mut self.table[Self::row(s)];
+                for (cell, a) in row.iter_mut().zip(ServerSetting::all()) {
                     let e = profiles.get(a);
                     let demand = profiles.planned_power_w(a, offered);
                     let frac = if offered <= 0.0 {
@@ -286,8 +289,7 @@ impl QLearner {
                         offered_slo_fraction: frac,
                         slo_percentile: 0.99,
                     });
-                    let cell = self.cell(s, a);
-                    self.table[cell] = r;
+                    *cell = r;
                 }
             }
         }
@@ -309,11 +311,15 @@ impl QLearner {
         if self.epsilon > 0.0 && rng.chance(self.epsilon) {
             return feasible[rng.index(feasible.len())];
         }
+        // One read per feasible cell; `max_by` keeps the last maximal
+        // action on ties, and NaN cells order by `total_cmp`.
+        let row = &self.table[Self::row(s)];
         feasible
             .iter()
-            .copied()
-            .max_by(|&a, &b| self.value(s, a).total_cmp(&self.value(s, b)))
+            .map(|&a| (a, row[a.action_index()]))
+            .max_by(|x, y| x.1.total_cmp(&y.1))
             .expect("feasible set is non-empty")
+            .0
     }
 
     /// Serialize the learner (table and hyper-parameters) to JSON — the
@@ -359,16 +365,12 @@ impl QLearner {
     /// Structural health check: table shape, cell finiteness, and
     /// hyper-parameter / quantization-reference ranges.
     pub fn validate(&self) -> Result<(), PolicyError> {
-        let expected = QState::COUNT * ServerSetting::all().len();
+        let expected = QState::COUNT * ServerSetting::COUNT;
         if self.table.len() != expected {
             return Err(PolicyError::WrongShape {
                 expected,
                 got: self.table.len(),
             });
-        }
-        let cells = self.table.iter().filter(|v| !v.is_finite()).count();
-        if cells > 0 {
-            return Err(PolicyError::NonFinite { cells });
         }
         for (name, v) in [
             ("max_power_w", self.max_power_w),
@@ -390,6 +392,11 @@ impl QLearner {
                     "{name} must be in [0, 1], got {v}"
                 )));
             }
+        }
+        // Last, so a `NonFinite` error means everything else is sound.
+        let cells = self.table.iter().filter(|v| !v.is_finite()).count();
+        if cells > 0 {
+            return Err(PolicyError::NonFinite { cells });
         }
         Ok(())
     }
@@ -439,13 +446,13 @@ impl QLearner {
 
     /// The Bellman update of Algorithm 1 line 15.
     pub fn update(&mut self, s: QState, a: ServerSetting, r: f64, next: QState) {
-        let best_next = ServerSetting::all()
-            .into_iter()
-            .map(|a2| self.value(next, a2))
+        let best_next = self.table[Self::row(next)]
+            .iter()
+            .copied()
             .fold(f64::NEG_INFINITY, f64::max);
-        let cell = self.cell(s, a);
-        let old = self.table[cell];
-        self.table[cell] = old + self.learning_rate * (r + self.discount * best_next - old);
+        let target = r + self.discount * best_next;
+        let cell = &mut self.table[Self::row(s)][a.action_index()];
+        *cell += self.learning_rate * (target - *cell);
     }
 }
 
@@ -786,6 +793,115 @@ mod tests {
         let all = ServerSetting::all();
         let pick = q.best_action(s, &all, &mut rng);
         assert!(all.contains(&pick));
+    }
+
+    // ---- oracle: the pre-row-slice expressions ----
+
+    fn oracle_cell(s: QState, a: ServerSetting) -> usize {
+        s.index() * ServerSetting::all().len() + a.action_index()
+    }
+
+    fn oracle_best_action(q: &QLearner, s: QState, feasible: &[ServerSetting]) -> ServerSetting {
+        let value = |a: ServerSetting| q.table[oracle_cell(s, a)];
+        feasible
+            .iter()
+            .copied()
+            .max_by(|&a, &b| value(a).total_cmp(&value(b)))
+            .unwrap_or_else(ServerSetting::normal)
+    }
+
+    fn oracle_update(q: &mut QLearner, s: QState, a: ServerSetting, r: f64, next: QState) {
+        let best_next = ServerSetting::all()
+            .into_iter()
+            .map(|a2| q.table[oracle_cell(next, a2)])
+            .fold(f64::NEG_INFINITY, f64::max);
+        let cell = oracle_cell(s, a);
+        let old = q.table[cell];
+        q.table[cell] = old + q.learning_rate * (r + q.discount * best_next - old);
+    }
+
+    fn all_states() -> impl Iterator<Item = QState> {
+        (0..LEVELS).flat_map(|power_level| {
+            (0..LEVELS).map(move |load_level| QState {
+                power_level,
+                load_level,
+            })
+        })
+    }
+
+    /// Bootstrapped, tie-laden (every row constant, and all-zero) and
+    /// poisoned (NaN and huge cells) tables.
+    fn oracle_tables() -> Vec<(&'static str, QLearner)> {
+        let (fresh, profiles) = learner();
+        let mut boot = fresh.clone();
+        boot.bootstrap(&profiles);
+        let mut rows = fresh.clone();
+        for (i, v) in rows.table.iter_mut().enumerate() {
+            *v = ((i / ServerSetting::COUNT) % 5) as f64;
+        }
+        let mut poisoned = boot.clone();
+        poisoned.poison(1e8);
+        vec![
+            ("bootstrapped", boot),
+            ("zero", fresh),
+            ("constant rows", rows),
+            ("poisoned", poisoned),
+        ]
+    }
+
+    #[test]
+    fn best_action_matches_the_max_by_oracle() {
+        let (_, profiles) = learner();
+        let all = ServerSetting::all();
+        let mut sets: Vec<Vec<ServerSetting>> = vec![
+            all.to_vec(),
+            Vec::new(),
+            vec![ServerSetting::normal()],
+            vec![ServerSetting::max_sprint()],
+            vec![ServerSetting::new(9, 4)],
+        ];
+        sets.extend([2, 9, 31, 62].map(|k| all[..k].to_vec()));
+        // The feasibility masks `Pmk::choose` builds under a budget.
+        for budget in [90.0, 120.0, 140.0, 160.0] {
+            sets.push(
+                all.into_iter()
+                    .filter(|&a| {
+                        a == ServerSetting::normal() || profiles.planned_power_w(a, 1e9) <= budget
+                    })
+                    .collect(),
+            );
+        }
+        let mut rng = SimRng::seed_from_u64(12);
+        for (name, q) in oracle_tables() {
+            for s in all_states() {
+                for set in &sets {
+                    assert_eq!(
+                        q.best_action(s, set, &mut rng),
+                        oracle_best_action(&q, s, set),
+                        "{name} table, {s:?}, {} feasible",
+                        set.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_matches_the_fold_oracle_bit_for_bit() {
+        let all = ServerSetting::all();
+        for (name, mut q) in oracle_tables() {
+            let mut want = q.clone();
+            let states: Vec<QState> = all_states().collect();
+            for (i, &s) in states.iter().enumerate() {
+                let a = all[(i * 11) % all.len()];
+                let next = states[(i * 7 + 3) % states.len()];
+                let r = (i as f64 * 0.37).sin() * 4.0;
+                q.update(s, a, r, next);
+                oracle_update(&mut want, s, a, r, next);
+            }
+            let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&q.table) == bits(&want.table), "{name} table diverged");
+        }
     }
 
     #[test]

@@ -1882,6 +1882,12 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
             }
         }
         side = snap.serve;
+        let servers = args.cfg.green.green_servers;
+        for state in resume_state.iter().chain(resume_racks.iter().flatten()) {
+            state
+                .check_restorable(servers)
+                .map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        }
     }
     if args.options.overrun == OverrunPolicy::Degrade && !args.cfg.guardrail.enabled {
         return Err(ServeError::Config(
@@ -2239,6 +2245,32 @@ mod tests {
             ServeSnapshot::from_json(&tampered_json),
             Err(ServeError::Snapshot(_))
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_a_tampered_engine_state() {
+        let dir = std::env::temp_dir().join("gs_serve_tamper_test");
+        let _ = fs::create_dir_all(&dir);
+        let snap_path = dir.join("snap.json");
+        let args = ServeArgs {
+            snapshot_path: Some(snap_path.clone()),
+            drain_after_epochs: Some(1),
+            ..ServeArgs::default()
+        };
+        serve(args).expect("drain serve runs");
+        let mut snap: ServeSnapshot =
+            serde_json::from_str(&fs::read_to_string(&snap_path).unwrap()).unwrap();
+        snap.state.as_mut().expect("v1 state").prev_settings.clear();
+        fs::write(&snap_path, serde_json::to_string(&snap).unwrap()).unwrap();
+        let resumed = serve(ServeArgs {
+            resume_path: Some(snap_path),
+            ..ServeArgs::default()
+        });
+        match resumed {
+            Err(ServeError::Snapshot(m)) => assert!(m.contains("`prev_settings`"), "{m}"),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -262,3 +262,36 @@ fn checkpoint_requires_analytic_measurement() {
     assert!(!ok);
     assert!(stderr.contains("analytic"), "{stderr}");
 }
+
+#[test]
+fn resume_of_a_tampered_snapshot_is_a_usage_error() {
+    let snap = tmp("tampered.json");
+    let path = snap.to_str().unwrap();
+    let (_, _, ok) = run(&[
+        "simulate",
+        "--strategy",
+        "hybrid",
+        "--minutes",
+        "10",
+        "--analytic",
+        "--checkpoint",
+        path,
+        "--snapshot-every",
+        "3",
+    ]);
+    assert!(ok);
+    let text = std::fs::read_to_string(&snap).unwrap();
+    let mut tampered = greensprint_repro::prelude::EngineSnapshot::from_json(&text).unwrap();
+    tampered.state.prev_settings.pop();
+    std::fs::write(&snap, tampered.to_json()).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(["resume", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("`prev_settings`"), "{stderr}");
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(format!("{path}.tmp")).ok();
+}
