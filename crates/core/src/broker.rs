@@ -446,7 +446,7 @@ pub fn resume_datacenter_snapshot(
     }
     for (r, state) in snap.racks.iter().enumerate() {
         state
-            .check_restorable(cfg.racks[r].green.green_servers)
+            .check_restorable(&rack_engine_config(&cfg, r))
             .map_err(|e| format!("rack {r}: {e}"))?;
     }
     run_stepped(

@@ -9,10 +9,10 @@
 //! extrapolates them to a year so [`gs_tco`]-style models can be fed with
 //! *measured* sprint activity instead of an assumption.
 
-use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
+use crate::checkpoint::{EngineSnapshot, MainCarry, RunPhase, SnapshotScope};
 use crate::engine::{
-    run_window, run_window_resumable, BurstOutcome, EngineConfig, EngineError, MeasurementMode,
-    NoHooks, RunWindow,
+    resumed_phase, run_window, run_window_resumable, BurstOutcome, EngineConfig, EngineError,
+    EpochHooks, MeasurementMode, RunWindow, SnapshotSink,
 };
 use crate::fleet::EngineScratch;
 use crate::pmk::Strategy;
@@ -194,36 +194,7 @@ pub fn try_run_campaign_with_snapshots(
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
-    cfg.validate()?;
-    if cfg.engine.measurement != MeasurementMode::Analytic {
-        return Err(EngineError::SnapshotRequiresAnalytic);
-    }
-    let fp = campaign_fingerprint(cfg);
-    let mut scratch = EngineScratch::new();
-    let run = with_campaign_window(cfg, |profiles, window| {
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.clone(),
-                scope: SnapshotScope::Campaign(cfg.clone()),
-                phase: RunPhase::Strategy,
-                main_carry: None,
-                state,
-            });
-        };
-        run_window_resumable(
-            &cfg.engine,
-            cfg.engine.strategy,
-            profiles,
-            window,
-            None,
-            every_epochs,
-            &mut emit,
-            &mut scratch,
-            &mut NoHooks,
-        )
-        .0
-    });
-    finish_campaign(cfg, &fp, run, None, every_epochs, sink, &mut scratch)
+    run_campaign_snapshotted(cfg, &campaign_fingerprint(cfg), None, every_epochs, sink)
 }
 
 /// Resume a campaign from a mid-run snapshot; called through
@@ -234,97 +205,65 @@ pub(crate) fn resume_campaign_snapshot(
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
+    let fp = snap.fingerprint.clone();
+    run_campaign_snapshotted(cfg, &fp, Some(snap), every_epochs, sink)
+}
+
+/// Run a campaign with snapshotting, or resume one from `resume`: the
+/// strategy run, then its Normal baseline. Baseline-phase snapshots
+/// carry the finished strategy run so a resume from one still has
+/// everything.
+fn run_campaign_snapshotted(
+    cfg: &CampaignConfig,
+    fp: &str,
+    resume: Option<EngineSnapshot>,
+    every_epochs: u64,
+    sink: &mut dyn FnMut(&EngineSnapshot),
+) -> Result<CampaignOutcome, EngineError> {
     cfg.validate()?;
     if cfg.engine.measurement != MeasurementMode::Analytic {
         return Err(EngineError::SnapshotRequiresAnalytic);
     }
-    let fp = snap.fingerprint.clone();
+    let (carry, mut state) = resumed_phase(resume)?;
     let mut scratch = EngineScratch::new();
-    match snap.phase {
-        RunPhase::Strategy => {
-            let run = with_campaign_window(cfg, |profiles, window| {
-                let mut emit = |state: LoopState| {
-                    sink(&EngineSnapshot {
-                        fingerprint: fp.clone(),
-                        scope: SnapshotScope::Campaign(cfg.clone()),
-                        phase: RunPhase::Strategy,
-                        main_carry: None,
-                        state,
-                    });
-                };
-                run_window_resumable(
-                    &cfg.engine,
-                    cfg.engine.strategy,
-                    profiles,
-                    window,
-                    Some(snap.state),
-                    every_epochs,
-                    &mut emit,
-                    &mut scratch,
-                    &mut NoHooks,
-                )
-                .0
-            });
-            finish_campaign(cfg, &fp, run, None, every_epochs, sink, &mut scratch)
-        }
-        RunPhase::Baseline => {
-            let carry = snap.main_carry.ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
-                )
-            })?;
-            finish_campaign(
-                cfg,
-                &fp,
-                carry.outcome,
-                Some(snap.state),
+    let mut snapshot = |phase, main_carry, state| {
+        sink(&EngineSnapshot {
+            fingerprint: fp.to_string(),
+            scope: SnapshotScope::Campaign(cfg.clone()),
+            phase,
+            main_carry,
+            state,
+        });
+    };
+    let (run, normal) = with_campaign_window(cfg, |profiles, window| {
+        let mut run_window_from = |strategy, resume, hooks: &mut dyn EpochHooks| {
+            run_window_resumable(
+                &cfg.engine,
+                strategy,
+                profiles,
+                window,
+                resume,
                 every_epochs,
-                sink,
                 &mut scratch,
+                hooks,
             )
-        }
-    }
-}
-
-/// Run (or resume) the campaign's Normal-baseline pass with snapshotting
-/// and assemble the final outcome. Baseline snapshots carry the finished
-/// strategy run so a resume from one still has everything.
-#[allow(clippy::too_many_arguments)]
-fn finish_campaign(
-    cfg: &CampaignConfig,
-    fp: &str,
-    run: BurstOutcome,
-    baseline_resume: Option<LoopState>,
-    every_epochs: u64,
-    sink: &mut dyn FnMut(&EngineSnapshot),
-    scratch: &mut EngineScratch,
-) -> Result<CampaignOutcome, EngineError> {
-    let normal = with_campaign_window(cfg, |profiles, window| {
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.to_string(),
-                scope: SnapshotScope::Campaign(cfg.clone()),
-                phase: RunPhase::Baseline,
-                main_carry: Some(MainCarry {
-                    outcome: run.clone(),
-                    monitor: None,
-                    policy: None,
-                }),
-                state,
-            });
+            .0
         };
-        run_window_resumable(
-            &cfg.engine,
-            Strategy::Normal,
-            profiles,
-            window,
-            baseline_resume,
-            every_epochs,
-            &mut emit,
-            scratch,
-            &mut NoHooks,
-        )
-        .0
+        let run = match carry {
+            Some(carry) => carry.outcome,
+            None => {
+                let mut hooks = SnapshotSink(|s| snapshot(RunPhase::Strategy, None, s));
+                run_window_from(cfg.engine.strategy, state.take(), &mut hooks)
+            }
+        };
+        let carry = MainCarry {
+            outcome: run,
+            monitor: None,
+            policy: None,
+        };
+        let mut hooks = SnapshotSink(|s| snapshot(RunPhase::Baseline, Some(carry.clone()), s));
+        let normal = run_window_from(Strategy::Normal, state, &mut hooks);
+        (carry.outcome, normal)
     });
     Ok(assemble_outcome(cfg, run, &normal))
 }

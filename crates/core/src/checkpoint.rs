@@ -24,7 +24,7 @@
 //! whose physics changed underneath it.
 
 use crate::campaign::CampaignConfig;
-use crate::engine::{BurstOutcome, EngineConfig, EngineError, EpochRecord};
+use crate::engine::{BurstOutcome, EngineConfig, EngineError, EpochRecord, ThermalModel};
 use crate::monitor::Monitor;
 use crate::pmk::ActuationWatchdog;
 use crate::predictor::{ClearSkyIndexedPredictor, Predictor};
@@ -84,10 +84,14 @@ pub fn points_digest(points: &[SweepPoint]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Every piece of mutable state the scheduling-epoch loop carries across
-/// epochs. Capturing it at an epoch boundary and restoring it later
-/// continues the run exactly — same RNG stream, same learner, same
-/// batteries, same accumulated records — so the final outcome is
-/// byte-identical to the uninterrupted run.
+/// epochs — and, while the loop runs, that state itself: the loop's
+/// stages mutate one `LoopState` in place. Three fields are owned live by
+/// the controllers instead (`learner` by the PMK, `guardrail` by the
+/// guardrail, `audit_violations` by the invariant auditor) and are filled
+/// in only on capture. A capture is a clone and a resume a move, so a new
+/// field is carried across a snapshot without being named anywhere else;
+/// the outcome of a resumed run is byte-identical to the uninterrupted
+/// run's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoopState {
     /// The next epoch index to execute.
@@ -166,8 +170,7 @@ pub struct LoopState {
     /// Server-epochs spent straggling so far.
     #[serde(default)]
     pub straggler_epochs: usize,
-    /// Smallest live-fleet size seen so far (the engine clamps it to the
-    /// fleet size on restore).
+    /// Smallest live-fleet size seen so far.
     #[serde(default)]
     pub min_live_servers: usize,
     /// Human-readable fleet crash/flap/rejoin log.
@@ -176,16 +179,18 @@ pub struct LoopState {
 }
 
 impl LoopState {
-    /// Check the parts of a deserialized state that the epoch loop indexes
-    /// with, for a fleet of `servers`. A snapshot's fingerprint covers
-    /// only its configuration, so a tampered state must fail here, with a
-    /// typed error naming the field, rather than panic mid-run.
-    pub(crate) fn check_restorable(&self, servers: usize) -> Result<(), EngineError> {
+    /// Check a deserialized state against the configuration it resumes
+    /// under: every value the epoch loop indexes with or trusts as a
+    /// length. A snapshot's fingerprint covers only its configuration, so
+    /// a tampered state must fail here, with a typed error naming the
+    /// field, rather than panic mid-run or silently truncate it.
+    pub(crate) fn check_restorable(&self, cfg: &EngineConfig) -> Result<(), EngineError> {
         let bad = |field: &str, why: String| {
             Err(EngineError::SnapshotMismatch(format!(
                 "snapshot field `{field}` {why}"
             )))
         };
+        let n = cfg.green.green_servers;
         if let Some(learner) = &self.learner {
             match learner.validate() {
                 // A chaos-poisoned table is live state: the run carries it
@@ -199,17 +204,48 @@ impl LoopState {
                 return bad("pending_q", format!("is out of range: {s:?}, {a:?}"));
             }
         }
-        if self.prev_settings.len() != servers {
-            return bad(
-                "prev_settings",
-                format!(
-                    "has {} entries for a {servers}-server rack",
-                    self.prev_settings.len()
-                ),
-            );
-        }
         if let Some(a) = self.prev_settings.iter().find(|a| !a.in_range()) {
             return bad("prev_settings", format!("holds an out-of-range {a:?}"));
+        }
+        let thermals = if cfg.thermal == ThermalModel::Disabled {
+            0
+        } else {
+            n
+        };
+        let fault_events = cfg.fault_plan.as_ref().map_or(0, |p| p.events.len());
+        let lengths = [
+            ("batteries", self.batteries.len(), n),
+            ("grid_recharging", self.grid_recharging.len(), n),
+            ("prev_settings", self.prev_settings.len(), n),
+            ("down_left", self.down_left.len(), n),
+            ("health_streak", self.health_streak.len(), n),
+            ("thermals", self.thermals.len(), thermals),
+            ("fade_done", self.fade_done.len(), fault_events),
+            // Every capture holds one record per executed epoch.
+            (
+                "next_epoch",
+                usize::try_from(self.next_epoch).unwrap_or(usize::MAX),
+                self.epochs.len(),
+            ),
+        ];
+        if let Some((field, len, want)) = lengths.iter().find(|(_, len, want)| len != want) {
+            return bad(field, format!("counts {len} where the run needs {want}"));
+        }
+        let consistent = [
+            ("watchdog", self.watchdog.tracks(n)),
+            ("min_live_servers", self.min_live_servers <= n),
+            (
+                "guardrail",
+                self.guardrail
+                    .as_ref()
+                    .is_none_or(|g| g.level < g.ladder.len()),
+            ),
+        ];
+        if let Some((field, _)) = consistent.iter().find(|(_, ok)| !ok) {
+            return bad(
+                field,
+                format!("does not fit a {n}-server run of this configuration"),
+            );
         }
         Ok(())
     }

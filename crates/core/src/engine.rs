@@ -13,25 +13,28 @@
 //! the green-provisioned servers over the burst, normalized to a Normal
 //! (no-sprint) run of the same burst.
 
+#![deny(clippy::too_many_lines)]
+
 use crate::audit::{EpochFlows, InvariantAuditor};
 use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
 use crate::config::{AvailabilityLevel, GreenConfig};
 use crate::faults::{ActiveFaults, FaultPlan};
-use crate::fleet::{EngineScratch, FleetState};
+use crate::fleet::{AnalyticCache, EngineScratch, FleetState};
 use crate::guardrail::{
     EpochSignals, Guardrail, GuardrailAction, GuardrailConfig, QuarantineRecord,
 };
 use crate::monitor::{Monitor, Observation, ObservationQuality};
 use crate::pmk::{ActuationWatchdog, Pmk, PmkContext, Strategy};
-use crate::predictor::Predictor;
+use crate::predictor::{ClearSkyIndexedPredictor, Predictor};
 use crate::profiler::ProfileTable;
 use crate::qlearning::{reward, QState, RewardInputs};
-use gs_cluster::ServerSetting;
+use gs_cluster::{PowerModel, ServerSetting};
 use gs_power::battery::Battery;
 use gs_power::meter::{PowerMeter, Source};
-use gs_power::pss::{PowerSourceSelector, SupplyCase};
+use gs_power::pss::{PowerSourceSelector, SafeSupplyEstimator, SupplyCase, SupplyPlan};
 use gs_power::solar::{PvArray, SolarTrace};
 use gs_sim::{SimDuration, SimRng, SimTime};
+use gs_thermal::ThermalPackage;
 use gs_workload::apps::{AppProfile, Application};
 use gs_workload::arrivals::BurstPattern;
 use gs_workload::des::ServerSim;
@@ -501,46 +504,8 @@ impl Engine {
         every_epochs: u64,
         sink: &mut dyn FnMut(&EngineSnapshot),
     ) -> Result<(BurstOutcome, Monitor, Option<String>), EngineError> {
-        if self.cfg.measurement != MeasurementMode::Analytic {
-            return Err(EngineError::SnapshotRequiresAnalytic);
-        }
-        let cfg = self.cfg;
-        let profiles = ProfileTable::cached(cfg.app);
-        let fp = burst_fingerprint(&cfg);
-        let mut scratch = EngineScratch::new();
-        let (main, monitor, policy) = {
-            let mut emit = |state: LoopState| {
-                sink(&EngineSnapshot {
-                    fingerprint: fp.clone(),
-                    scope: SnapshotScope::Burst(cfg.clone()),
-                    phase: RunPhase::Strategy,
-                    main_carry: None,
-                    state,
-                });
-            };
-            run_once_resumable(
-                &cfg,
-                cfg.strategy,
-                profiles,
-                None,
-                every_epochs,
-                &mut emit,
-                &mut scratch,
-                &mut NoHooks,
-            )
-        };
-        Ok(finish_burst(
-            &cfg,
-            profiles,
-            &fp,
-            main,
-            monitor,
-            policy,
-            None,
-            every_epochs,
-            sink,
-            &mut scratch,
-        ))
+        let fp = burst_fingerprint(&self.cfg);
+        run_burst_snapshotted(&self.cfg, &fp, None, every_epochs, sink)
     }
 }
 
@@ -580,55 +545,91 @@ pub(crate) fn judge(
     outcome
 }
 
-/// Run (or resume) the Normal-baseline phase of a burst experiment with
-/// snapshotting, then assemble the normalized result. The finished
+/// Run a burst experiment with snapshotting, or resume one from
+/// `resume`: the strategy run, then its Normal baseline. The finished
 /// strategy run rides inside every baseline-phase snapshot so a resume
 /// from one still has everything.
-#[allow(clippy::too_many_arguments)]
-fn finish_burst(
+fn run_burst_snapshotted(
     cfg: &EngineConfig,
-    profiles: &ProfileTable,
     fp: &str,
-    main: BurstOutcome,
-    monitor: Monitor,
-    policy: Option<String>,
-    baseline_resume: Option<LoopState>,
+    resume: Option<EngineSnapshot>,
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
-    scratch: &mut EngineScratch,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    let baseline = if cfg.strategy == Strategy::Normal {
-        None
-    } else {
-        let carry = MainCarry {
-            outcome: main.clone(),
-            monitor: Some(monitor.clone()),
-            policy: policy.clone(),
-        };
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.to_string(),
-                scope: SnapshotScope::Burst(cfg.clone()),
-                phase: RunPhase::Baseline,
-                main_carry: Some(carry.clone()),
-                state,
-            });
-        };
-        Some(
-            run_once_resumable(
-                cfg,
-                Strategy::Normal,
-                profiles,
-                baseline_resume,
-                every_epochs,
-                &mut emit,
-                scratch,
-                &mut NoHooks,
-            )
-            .0,
-        )
+) -> Result<(BurstOutcome, Monitor, Option<String>), EngineError> {
+    if cfg.measurement != MeasurementMode::Analytic {
+        return Err(EngineError::SnapshotRequiresAnalytic);
+    }
+    let (carry, mut state) = resumed_phase(resume)?;
+    let profiles = ProfileTable::cached(cfg.app);
+    let mut scratch = EngineScratch::new();
+    let mut snapshot = |phase, main_carry, state| {
+        sink(&EngineSnapshot {
+            fingerprint: fp.to_string(),
+            scope: SnapshotScope::Burst(cfg.clone()),
+            phase,
+            main_carry,
+            state,
+        });
     };
-    (judge(cfg, main, baseline), monitor, policy)
+    let carry = match carry {
+        Some(carry) => carry,
+        None => {
+            let mut hooks = SnapshotSink(|s| snapshot(RunPhase::Strategy, None, s));
+            let (outcome, monitor, policy) = run_once_resumable(
+                cfg,
+                cfg.strategy,
+                profiles,
+                state.take(),
+                every_epochs,
+                &mut scratch,
+                &mut hooks,
+            );
+            MainCarry {
+                outcome,
+                monitor: Some(monitor),
+                policy,
+            }
+        }
+    };
+    let monitor = carry.monitor.clone().ok_or_else(|| {
+        EngineError::SnapshotMismatch(
+            "burst snapshot is missing the strategy run's monitor".to_string(),
+        )
+    })?;
+    let baseline = (cfg.strategy != Strategy::Normal).then(|| {
+        let mut hooks = SnapshotSink(|s| snapshot(RunPhase::Baseline, Some(carry.clone()), s));
+        let resume = state.take();
+        run_once_resumable(
+            cfg,
+            Strategy::Normal,
+            profiles,
+            resume,
+            every_epochs,
+            &mut scratch,
+            &mut hooks,
+        )
+        .0
+    });
+    Ok((judge(cfg, carry.outcome, baseline), monitor, carry.policy))
+}
+
+/// Split a snapshot to resume into the finished strategy run it carries
+/// (baseline phase only) and the loop state to continue from.
+pub(crate) fn resumed_phase(
+    resume: Option<EngineSnapshot>,
+) -> Result<(Option<MainCarry>, Option<LoopState>), EngineError> {
+    let Some(snap) = resume else {
+        return Ok((None, None));
+    };
+    let carry = match snap.phase {
+        RunPhase::Strategy => None,
+        RunPhase::Baseline => Some(snap.main_carry.ok_or_else(|| {
+            EngineError::SnapshotMismatch(
+                "baseline-phase snapshot is missing the finished strategy run".to_string(),
+            )
+        })?),
+    };
+    Ok((carry, Some(snap.state)))
 }
 
 /// The checkpoint fingerprint of a burst configuration.
@@ -676,99 +677,28 @@ pub fn resume_snapshot(
             snap.fingerprint
         )));
     }
-    let servers = match &snap.scope {
-        SnapshotScope::Burst(cfg) => cfg.green.green_servers,
-        SnapshotScope::Campaign(ccfg) => ccfg.engine.green.green_servers,
+    let engine_cfg = match &snap.scope {
+        SnapshotScope::Burst(cfg) => cfg,
+        SnapshotScope::Campaign(ccfg) => &ccfg.engine,
     };
-    snap.state.check_restorable(servers)?;
+    snap.state.check_restorable(engine_cfg)?;
+    let fp = snap.fingerprint.clone();
     match snap.scope.clone() {
-        SnapshotScope::Burst(cfg) => resume_burst(cfg, snap, every_epochs, sink),
+        SnapshotScope::Burst(cfg) => {
+            cfg.validate()?;
+            let (outcome, monitor, policy) =
+                run_burst_snapshotted(&cfg, &fp, Some(snap), every_epochs, sink)?;
+            Ok(ResumedRun::Burst {
+                outcome,
+                monitor,
+                policy,
+            })
+        }
         SnapshotScope::Campaign(ccfg) => {
             crate::campaign::resume_campaign_snapshot(&ccfg, snap, every_epochs, sink)
                 .map(ResumedRun::Campaign)
         }
     }
-}
-
-fn resume_burst(
-    cfg: EngineConfig,
-    snap: EngineSnapshot,
-    every_epochs: u64,
-    sink: &mut dyn FnMut(&EngineSnapshot),
-) -> Result<ResumedRun, EngineError> {
-    cfg.validate()?;
-    if cfg.measurement != MeasurementMode::Analytic {
-        return Err(EngineError::SnapshotRequiresAnalytic);
-    }
-    let profiles = ProfileTable::cached(cfg.app);
-    let fp = snap.fingerprint.clone();
-    let mut scratch = EngineScratch::new();
-    let (outcome, monitor, policy) = match snap.phase {
-        RunPhase::Strategy => {
-            let (main, monitor, policy) = {
-                let mut emit = |state: LoopState| {
-                    sink(&EngineSnapshot {
-                        fingerprint: fp.clone(),
-                        scope: SnapshotScope::Burst(cfg.clone()),
-                        phase: RunPhase::Strategy,
-                        main_carry: None,
-                        state,
-                    });
-                };
-                run_once_resumable(
-                    &cfg,
-                    cfg.strategy,
-                    profiles,
-                    Some(snap.state),
-                    every_epochs,
-                    &mut emit,
-                    &mut scratch,
-                    &mut NoHooks,
-                )
-            };
-            finish_burst(
-                &cfg,
-                profiles,
-                &fp,
-                main,
-                monitor,
-                policy,
-                None,
-                every_epochs,
-                sink,
-                &mut scratch,
-            )
-        }
-        RunPhase::Baseline => {
-            let carry = snap.main_carry.ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
-                )
-            })?;
-            let monitor = carry.monitor.clone().ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "burst snapshot is missing the strategy run's monitor".to_string(),
-                )
-            })?;
-            finish_burst(
-                &cfg,
-                profiles,
-                &fp,
-                carry.outcome,
-                monitor,
-                carry.policy,
-                Some(snap.state),
-                every_epochs,
-                sink,
-                &mut scratch,
-            )
-        }
-    };
-    Ok(ResumedRun::Burst {
-        outcome,
-        monitor,
-        policy,
-    })
 }
 
 /// A simulation window: when it runs, which sky it sees, and the offered
@@ -792,28 +722,17 @@ pub(crate) fn run_once(
     profiles: &ProfileTable,
     scratch: &mut EngineScratch,
 ) -> (BurstOutcome, Monitor, Option<String>) {
-    run_once_resumable(
-        cfg,
-        strategy,
-        profiles,
-        None,
-        0,
-        &mut |_| {},
-        scratch,
-        &mut NoHooks,
-    )
+    run_once_resumable(cfg, strategy, profiles, None, 0, scratch, &mut NoHooks)
 }
 
 /// As [`run_once`], optionally restarting from a captured [`LoopState`]
-/// and emitting fresh captures every `snapshot_every` epochs.
-#[allow(clippy::too_many_arguments)]
+/// and handing `hooks` a fresh capture every `snapshot_every` epochs.
 pub(crate) fn run_once_resumable(
     cfg: &EngineConfig,
     strategy: Strategy,
     profiles: &ProfileTable,
     resume: Option<LoopState>,
     snapshot_every: u64,
-    snap: &mut dyn FnMut(LoopState),
     scratch: &mut EngineScratch,
     hooks: &mut dyn EpochHooks,
 ) -> (BurstOutcome, Monitor, Option<String>) {
@@ -838,7 +757,6 @@ pub(crate) fn run_once_resumable(
         &window,
         resume,
         snapshot_every,
-        snap,
         scratch,
         hooks,
     )
@@ -859,7 +777,6 @@ pub(crate) fn run_window(
         window,
         None,
         0,
-        &mut |_| {},
         scratch,
         &mut NoHooks,
     );
@@ -892,9 +809,10 @@ pub(crate) struct TickDirective {
 }
 
 /// Driver hooks for the epoch loop: the seam `greensprint serve` uses to
-/// run the *identical* control path against a tick clock. The batch
-/// entry points all pass [`NoHooks`], whose defaults make every hook
-/// invisible — the golden-output suite pins that equivalence.
+/// run the *identical* control path against a tick clock, and the loop's
+/// one snapshot sink. Plain batch runs pass [`NoHooks`] and snapshotting
+/// batch runs [`SnapshotSink`]; their defaults make every hook invisible —
+/// the golden-output suite pins that equivalence.
 pub(crate) trait EpochHooks {
     /// Called at the top of epoch `k` (sim time `t`), before anything of
     /// the epoch has executed. The returned directive shapes this epoch.
@@ -909,11 +827,9 @@ pub(crate) trait EpochHooks {
     fn after_epoch(&mut self, _k: u64, _rec: &EpochRecord, _settings: &[ServerSetting]) -> bool {
         true
     }
-    /// Called with every captured [`LoopState`] — the periodic boundary
-    /// captures and the final drain capture — *before* the plain `snap`
-    /// sink sees it. Lets one `&mut` driver observe both the epoch
-    /// stream and the snapshots without a second simultaneous borrow.
-    fn on_snapshot(&mut self, _state: &LoopState) {}
+    /// Called with every captured [`LoopState`]: the periodic boundary
+    /// captures and the final drain capture.
+    fn on_snapshot(&mut self, _state: LoopState) {}
 }
 
 /// The batch driver: every hook is a no-op and every directive a
@@ -922,11 +838,19 @@ pub(crate) struct NoHooks;
 
 impl EpochHooks for NoHooks {}
 
-/// The resumable scheduling-epoch loop: restores every mutable local
-/// from a [`LoopState`] when resuming, and captures one at each
-/// `snapshot_every`-th epoch boundary. Both halves touch *all* of the
-/// loop's mutable state — a field missed here would silently break the
-/// byte-identity guarantee, which the resume tests pin down.
+/// The snapshotting batch driver: [`NoHooks`], except that every capture
+/// goes to the wrapped closure.
+pub(crate) struct SnapshotSink<F>(pub F);
+
+impl<F: FnMut(LoopState)> EpochHooks for SnapshotSink<F> {
+    fn on_snapshot(&mut self, state: LoopState) {
+        (self.0)(state);
+    }
+}
+
+/// The resumable scheduling-epoch loop: continues from `resume` when
+/// given, and hands `hooks` a capture of the loop's state at each
+/// `snapshot_every`-th epoch boundary.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_window_resumable(
     cfg: &EngineConfig,
@@ -935,27 +859,71 @@ pub(crate) fn run_window_resumable(
     window: &RunWindow<'_>,
     resume: Option<LoopState>,
     snapshot_every: u64,
-    snap: &mut dyn FnMut(LoopState),
     scratch: &mut EngineScratch,
     hooks: &mut dyn EpochHooks,
 ) -> (BurstOutcome, Monitor, Option<String>) {
-    let app = cfg.app.profile();
-    let n = cfg.green.green_servers;
-    scratch.begin_run(n);
-    let EngineScratch {
-        fleet,
-        analytic_cache,
-    } = scratch;
-    let pv: PvArray = cfg.green.pv_array();
-    let trace = window.trace;
-    let start = window.start;
-    let end = start + window.duration;
+    let mut run = EpochLoop::new(cfg, strategy, profiles, window, scratch);
+    if let Some(state) = resume {
+        run.restore(state);
+    }
+    run.run(snapshot_every, hooks)
+}
 
+/// A controller for `strategy` with the run's switching hysteresis.
+fn strategy_pmk(cfg: &EngineConfig, profiles: &ProfileTable, strategy: Strategy) -> Pmk {
+    let mut p = Pmk::new(strategy, profiles);
+    p.hysteresis = cfg.switch_hysteresis;
+    p
+}
+
+/// The hosted application with its analytic measurement plane.
+struct Plant<'a> {
+    app: AppProfile,
+    profiles: &'a ProfileTable,
+    cache: &'a mut AnalyticCache,
+}
+
+impl Plant<'_> {
+    /// The analytic measurement of `setting` at `rps`, through the run
+    /// cache.
+    fn perf(&mut self, setting: ServerSetting, rps: f64) -> EpochPerf {
+        let (app, profiles) = (&self.app, self.profiles);
+        self.cache
+            .entry((setting, rps.to_bits()))
+            .or_insert_with(|| measure_analytic(app, profiles, setting, rps))
+            .clone()
+    }
+}
+
+/// Algorithm 1's reward inputs for a server that drew `power_w` of its
+/// `supply_w` and performed as `perf`.
+fn reward_inputs(app: &AppProfile, supply_w: f64, power_w: f64, perf: &EpochPerf) -> RewardInputs {
+    RewardInputs {
+        power_supply_w: supply_w,
+        power_current_w: power_w,
+        qos_target_s: app.slo_deadline_s,
+        qos_current_s: perf.slo_percentile_latency_s,
+        offered_slo_fraction: if perf.offered_rps > 0.0 {
+            perf.goodput_rps / perf.offered_rps
+        } else {
+            1.0
+        },
+        slo_percentile: app.slo_percentile,
+    }
+}
+
+/// The loop's state before epoch 0, plus the per-server DES simulators.
+fn fresh_state(
+    cfg: &EngineConfig,
+    strategy: Strategy,
+    pv: &PvArray,
+) -> (LoopState, Vec<ServerSim>) {
+    let n = cfg.green.green_servers;
     let mut rng = SimRng::seed_from_u64(cfg.seed ^ strategy_salt(strategy));
     // Forking the per-server DES streams is part of the pinned master rng
     // sequence whether or not the run is analytic; only DES mode pays to
     // materialize the simulators themselves.
-    let mut sims: Vec<ServerSim> = match cfg.measurement {
+    let sims: Vec<ServerSim> = match cfg.measurement {
         MeasurementMode::Des => (0..n).map(|_| ServerSim::new(rng.fork())).collect(),
         MeasurementMode::Analytic => {
             for _ in 0..n {
@@ -964,585 +932,569 @@ pub(crate) fn run_window_resumable(
             Vec::new()
         }
     };
-    let mut batteries: Vec<Option<Battery>> = (0..n)
-        .map(|_| cfg.green.battery_spec().map(Battery::new_full))
-        .collect();
-    // Paper case 3: "Recharging is activated when battery depth of
-    // discharge reaches the set goal (40% DoD)" — a latch per battery;
-    // once triggered, the grid tops the unit back up whenever its server
-    // is not sprinting, until full.
-    let mut grid_recharging: Vec<bool> = vec![false; n];
-    let mut in_burst_grid_recharge_wh = 0.0;
-    let mut predictor = Predictor::new();
-    let mut cs_predictor = crate::predictor::ClearSkyIndexedPredictor::new(pv.peak_ac_watts());
-    let mut pmk = Pmk::new(strategy, profiles);
-    pmk.hysteresis = cfg.switch_hysteresis;
-    if let (Some(json), Some(learner)) = (&cfg.warm_policy_json, pmk.learner_mut()) {
-        match crate::qlearning::QLearner::from_json(json) {
-            Ok(warm) => *learner = warm,
-            Err(e) => panic!("invalid warm_policy_json: {e}"),
-        }
-    }
-    let mut setting_transitions = 0usize;
-    // Policy guardrail: shadow-score a certified fallback each epoch and
-    // demote down the failover ladder when the active policy misbehaves.
-    // Normal has no ladder, so the baseline run is never supervised.
-    let mut guard: Option<Guardrail> = if cfg.guardrail.enabled {
-        Guardrail::new(cfg.guardrail.clone(), strategy)
-    } else {
-        None
-    };
-    let mut shadow_pmk: Option<Pmk> = guard.as_ref().map(|_| {
-        let mut p = Pmk::new(cfg.guardrail.fallback, profiles);
-        p.hysteresis = cfg.switch_hysteresis;
-        p
-    });
-    // The demoted rung's controller, steering instead of `pmk` while the
-    // ladder level is above 0. Rebuilt from the guardrail level rather
-    // than persisted: every rung below the top is learner-free, so the
-    // strategy name is its entire state.
-    let mut fallback_pmk: Option<Pmk> = None;
-    // Fault-injection state: the plan is replayed deterministically; the
-    // watchdog and safe-mode estimator run unconditionally (they are the
-    // production control path) but are inert while telemetry is clean and
-    // every command lands.
-    let fault_plan = cfg.fault_plan.as_ref();
-    let mut fade_done: Vec<bool> =
-        fault_plan.map_or_else(Vec::new, |p| vec![false; p.events.len()]);
-    let mut watchdog = ActuationWatchdog::with_threshold(n, cfg.watchdog_threshold);
-    let mut safe_supply = gs_power::pss::SafeSupplyEstimator::new();
-    // One-epoch telemetry delay line: the raw (meter-shaped) reading taken
-    // last epoch, which a TelemetryDelay fault serves instead of today's.
-    let mut last_raw_obs_w: Option<f64> = None;
-    let mut fault_epochs = 0usize;
-    let mut safe_mode_epochs = 0usize;
-    let mut watchdog_clamped_epochs = 0usize;
-    // Fleet fault state: per-server crash countdowns, rejoin-hysteresis
-    // health streaks, and the burst-level fleet accounting. A full fleet
-    // starts with every streak at the rejoin threshold — every server is
-    // trusted with load from epoch 0.
-    fleet.health_streak.fill(REJOIN_EPOCHS);
-    let mut dead_server_epochs = 0usize;
-    let mut straggler_epochs = 0usize;
-    let mut min_live_servers = n;
-    let mut fleet_events: Vec<String> = Vec::new();
-    let pss = PowerSourceSelector::new();
-    let mut meter = PowerMeter::new();
-    let mut monitor = Monitor::new();
-    let power_model = app.power_model();
-    // Invariant auditor: re-derives energy conservation from the settled
-    // flows each epoch. The breaker cap is every server at Normal mode
-    // full-tilt plus every charger at its C-rate limit — fades only ever
-    // lower the real draw below the cap computed from the fresh specs.
-    let mut auditor = cfg.audit.then(InvariantAuditor::new);
-    let grid_cap_w = n as f64 * power_model.power_w(ServerSetting::normal(), 1.0)
-        + batteries
-            .iter()
-            .flatten()
-            .map(|b| b.spec().max_charge_power_w())
-            .sum::<f64>();
-    let mut audited_grid_wh = 0.0;
-    let mut audited_curtailed_wh = 0.0;
-
-    let mut epochs = Vec::new();
-    let mut goodput_sum = 0.0;
-    let mut offered_sum = 0.0;
-    let grid_overload_wh = 0.0;
-    // Hybrid bookkeeping: the (state, action) each epoch's choice was made
-    // from, for the Bellman update once the epoch is measured.
-    let mut pending_q: Option<(QState, ServerSetting)> = None;
-    // Cumulative renewable production over the burst so far — the
-    // planners' estimate of the *future mean* supply (the reactive EWMA
-    // would thrash the sustainability test on every cloud flicker).
-    let mut re_sum_w = 0.0;
     // Thermal packages, pre-warmed at Normal-mode load so the burst does
     // not start from a cold heatsink.
-    let mut thermals: Vec<gs_thermal::ThermalPackage> = match cfg.thermal {
+    let mut thermals: Vec<ThermalPackage> = match cfg.thermal {
         ThermalModel::Disabled => Vec::new(),
-        ThermalModel::PaperPcm => (0..n)
-            .map(|_| gs_thermal::ThermalPackage::paper_spec())
-            .collect(),
-        ThermalModel::NoPcm => (0..n)
-            .map(|_| gs_thermal::ThermalPackage::without_pcm())
-            .collect(),
+        ThermalModel::PaperPcm => (0..n).map(|_| ThermalPackage::paper_spec()).collect(),
+        ThermalModel::NoPcm => (0..n).map(|_| ThermalPackage::without_pcm()).collect(),
     };
     for pkg in &mut thermals {
         pkg.advance(100.0, SimDuration::from_hours(2));
     }
-    let mut thermal_throttle_epochs = 0usize;
-    let mut peak_temp_c = thermals.first().map_or(0.0, |p| p.temp_c());
+    let state = LoopState {
+        next_epoch: 0,
+        rng,
+        batteries: (0..n)
+            .map(|_| cfg.green.battery_spec().map(Battery::new_full))
+            .collect(),
+        grid_recharging: vec![false; n],
+        in_burst_grid_recharge_wh: 0.0,
+        predictor: Predictor::new(),
+        cs_predictor: ClearSkyIndexedPredictor::new(pv.peak_ac_watts()),
+        // Owned live by the Pmk; filled in on capture.
+        learner: None,
+        pending_q: None,
+        prev_settings: vec![ServerSetting::normal(); n],
+        setting_transitions: 0,
+        fade_done: cfg
+            .fault_plan
+            .as_ref()
+            .map_or_else(Vec::new, |p| vec![false; p.events.len()]),
+        watchdog: ActuationWatchdog::with_threshold(n, cfg.watchdog_threshold),
+        safe_supply: SafeSupplyEstimator::new(),
+        last_raw_obs_w: None,
+        fault_epochs: 0,
+        safe_mode_epochs: 0,
+        watchdog_clamped_epochs: 0,
+        meter: PowerMeter::new(),
+        monitor: Monitor::new(),
+        epochs: Vec::new(),
+        goodput_sum: 0.0,
+        offered_sum: 0.0,
+        re_sum_w: 0.0,
+        peak_temp_c: thermals.first().map_or(0.0, |p| p.temp_c()),
+        thermals,
+        thermal_throttle_epochs: 0,
+        // Owned live by the InvariantAuditor; filled in on capture.
+        audit_violations: Vec::new(),
+        audited_grid_wh: 0.0,
+        audited_curtailed_wh: 0.0,
+        // Owned live by the Guardrail; filled in on capture.
+        guardrail: None,
+        down_left: vec![0; n],
+        // A full fleet starts with every streak at the rejoin threshold:
+        // every server is trusted with load from epoch 0.
+        health_streak: vec![REJOIN_EPOCHS; n],
+        dead_server_epochs: 0,
+        straggler_epochs: 0,
+        min_live_servers: n,
+        fleet_events: Vec::new(),
+    };
+    (state, sims)
+}
 
-    // Resume: overwrite every mutable local with the checkpointed state.
-    // `sims` stays fresh — snapshots are gated to analytic measurement,
-    // where the per-server DES sims are never touched — and the analytic
-    // cache is a pure memo that re-derives itself on demand.
-    let mut start_k = 0u64;
-    if let Some(st) = resume {
-        start_k = st.next_epoch;
-        rng = st.rng;
-        batteries = st.batteries;
-        grid_recharging = st.grid_recharging;
-        in_burst_grid_recharge_wh = st.in_burst_grid_recharge_wh;
-        predictor = st.predictor;
-        cs_predictor = st.cs_predictor;
-        if let Some(saved) = st.learner {
-            if let Some(l) = pmk.learner_mut() {
-                *l = saved;
+/// One run of the epoch loop: the run's fixed inputs, its controllers,
+/// the per-epoch scratch arrays, and the live [`LoopState`] that the
+/// stage methods mutate in place.
+struct EpochLoop<'a> {
+    cfg: &'a EngineConfig,
+    profiles: &'a ProfileTable,
+    window: &'a RunWindow<'a>,
+    plant: Plant<'a>,
+    power_model: PowerModel,
+    pv: PvArray,
+    n: usize,
+    epoch_hours: f64,
+    /// The auditor's breaker cap: every server at Normal mode full-tilt
+    /// plus every charger at its C-rate limit. Fades only ever lower the
+    /// real draw below the cap computed from the fresh specs.
+    grid_cap_w: f64,
+    /// The configured strategy's controller; Hybrid's learner lives here.
+    pmk: Pmk,
+    /// The guardrail's fallback, scored every epoch in shadow.
+    shadow_pmk: Option<Pmk>,
+    /// The demoted rung's controller, steering instead of `pmk` while the
+    /// ladder level is above 0. Rebuilt from the guardrail level rather
+    /// than persisted: every rung below the top is learner-free, so the
+    /// strategy name is its entire state.
+    fallback_pmk: Option<Pmk>,
+    /// Policy guardrail: shadow-score a certified fallback each epoch and
+    /// demote down the failover ladder when the active policy misbehaves.
+    /// Normal has no ladder, so the baseline run is never supervised.
+    guard: Option<Guardrail>,
+    auditor: Option<InvariantAuditor>,
+    /// Per-server request-level simulators (DES measurement only).
+    sims: Vec<ServerSim>,
+    fleet: &'a mut FleetState,
+    st: LoopState,
+}
+
+/// What one epoch's stages hand to the stages after them. Each field is
+/// written by one stage and starts at its default until then.
+#[derive(Default)]
+struct Epoch {
+    k: u64,
+    t: SimTime,
+    /// Planning lookahead: within a single burst the time to the burst's
+    /// end; campaigns cap it at an hour (the controller cannot know a day
+    /// ahead when load will subside).
+    remaining: SimDuration,
+    dir: TickDirective,
+    faults: ActiveFaults,
+    /// Renewable power the bus physically delivers (W).
+    re_actual_w: f64,
+    live_count: usize,
+    /// `live_count`, at least 1: the fleet the plan divides supply over.
+    plan_n: usize,
+    /// The representative server for reward scoring.
+    rep: Option<usize>,
+    /// This epoch's supply reading, before any telemetry delay.
+    fresh_obs_w: Option<f64>,
+    /// The supply reading the controller sees; `None` is safe mode.
+    obs_w: Option<f64>,
+    re_believed_w: f64,
+    offered: f64,
+    re_pred_w: f64,
+    load_pred: f64,
+    waterfall: bool,
+    use_instant: bool,
+    /// Hybrid's state at decision time, for the Bellman update.
+    q_state: Option<QState>,
+    /// Per-server load after redistribution onto the live servers.
+    served_rps: f64,
+    re_used_w: f64,
+    battery_w: f64,
+    charged_w: f64,
+    /// Source-side energy delivered into servers, kept independently of
+    /// the meters so the auditor can balance the books against it (Wh).
+    settled_server_wh: f64,
+    dead_server_wh: f64,
+    epoch_grid_recharge_wh: f64,
+    goodput: f64,
+    soc: f64,
+    steering_level: usize,
+}
+
+impl<'a> EpochLoop<'a> {
+    fn new(
+        cfg: &'a EngineConfig,
+        strategy: Strategy,
+        profiles: &'a ProfileTable,
+        window: &'a RunWindow<'a>,
+        scratch: &'a mut EngineScratch,
+    ) -> Self {
+        let n = cfg.green.green_servers;
+        scratch.begin_run(n);
+        let pv = cfg.green.pv_array();
+        let (st, sims) = fresh_state(cfg, strategy, &pv);
+        let mut pmk = strategy_pmk(cfg, profiles, strategy);
+        if let (Some(json), Some(learner)) = (&cfg.warm_policy_json, pmk.learner_mut()) {
+            match crate::qlearning::QLearner::from_json(json) {
+                Ok(warm) => *learner = warm,
+                Err(e) => panic!("invalid warm_policy_json: {e}"),
             }
         }
-        pending_q = st.pending_q;
-        fleet.prev_settings.copy_from_slice(&st.prev_settings);
-        setting_transitions = st.setting_transitions;
-        fade_done = st.fade_done;
-        watchdog = st.watchdog;
-        safe_supply = st.safe_supply;
-        last_raw_obs_w = st.last_raw_obs_w;
-        fault_epochs = st.fault_epochs;
-        safe_mode_epochs = st.safe_mode_epochs;
-        watchdog_clamped_epochs = st.watchdog_clamped_epochs;
-        // Pre-fleet snapshots carry empty vectors; keep the fresh
-        // full-fleet initialization for those.
-        if st.down_left.len() == n {
-            fleet.down_left.copy_from_slice(&st.down_left);
-        }
-        if st.health_streak.len() == n {
-            fleet.health_streak.copy_from_slice(&st.health_streak);
-        }
-        dead_server_epochs = st.dead_server_epochs;
-        straggler_epochs = st.straggler_epochs;
-        min_live_servers = st.min_live_servers.min(n);
-        fleet_events = st.fleet_events;
-        meter = st.meter;
-        monitor = st.monitor;
-        epochs = st.epochs;
-        goodput_sum = st.goodput_sum;
-        offered_sum = st.offered_sum;
-        re_sum_w = st.re_sum_w;
-        thermals = st.thermals;
-        thermal_throttle_epochs = st.thermal_throttle_epochs;
-        peak_temp_c = st.peak_temp_c;
-        auditor = cfg
-            .audit
-            .then(|| InvariantAuditor::with_violations(st.audit_violations));
-        audited_grid_wh = st.audited_grid_wh;
-        audited_curtailed_wh = st.audited_curtailed_wh;
-        if let (true, Some(saved)) = (cfg.guardrail.enabled, st.guardrail) {
-            let g = Guardrail::restore(cfg.guardrail.clone(), saved);
-            if g.level() > 0 {
-                let mut p = Pmk::new(g.active_strategy(), profiles);
-                p.hysteresis = cfg.switch_hysteresis;
-                fallback_pmk = Some(p);
-            }
-            guard = Some(g);
-        }
-    }
-
-    let n_epochs = window
-        .duration
-        .div_duration(cfg.epoch)
-        .expect("validated in Engine::new");
-    let epoch_hours = cfg.epoch.as_hours_f64();
-    // Pre-size the per-epoch append targets (capacity only — none of it
-    // is serialized) so the loop never reallocates them.
-    let epochs_left = n_epochs.saturating_sub(start_k) as usize;
-    epochs.reserve(epochs_left);
-    monitor.reserve_epochs(n, epochs_left);
-
-    // One literal for the full mutable-local capture, expanded at the
-    // periodic boundary and at a drain stop — the two must never drift
-    // apart, or resume byte-identity silently breaks.
-    macro_rules! capture_state {
-        ($next:expr) => {
-            LoopState {
-                next_epoch: $next,
-                rng: rng.clone(),
-                batteries: batteries.clone(),
-                grid_recharging: grid_recharging.clone(),
-                in_burst_grid_recharge_wh,
-                predictor: predictor.clone(),
-                cs_predictor: cs_predictor.clone(),
-                learner: pmk.learner_mut().cloned(),
-                pending_q,
-                prev_settings: fleet.prev_settings.clone(),
-                setting_transitions,
-                fade_done: fade_done.clone(),
-                watchdog: watchdog.clone(),
-                safe_supply: safe_supply.clone(),
-                last_raw_obs_w,
-                fault_epochs,
-                safe_mode_epochs,
-                watchdog_clamped_epochs,
-                meter: meter.clone(),
-                monitor: monitor.clone(),
-                epochs: epochs.clone(),
-                goodput_sum,
-                offered_sum,
-                re_sum_w,
-                thermals: thermals.clone(),
-                thermal_throttle_epochs,
-                peak_temp_c,
-                audit_violations: auditor
-                    .as_ref()
-                    .map_or_else(Vec::new, |a| a.violations().to_vec()),
-                audited_grid_wh,
-                audited_curtailed_wh,
-                guardrail: guard.as_ref().map(|g| g.state().clone()),
-                down_left: fleet.down_left.clone(),
-                health_streak: fleet.health_streak.clone(),
-                dead_server_epochs,
-                straggler_epochs,
-                min_live_servers,
-                fleet_events: fleet_events.clone(),
-            }
+        let guard = if cfg.guardrail.enabled {
+            Guardrail::new(cfg.guardrail.clone(), strategy)
+        } else {
+            None
         };
+        let shadow_pmk = guard
+            .as_ref()
+            .map(|_| strategy_pmk(cfg, profiles, cfg.guardrail.fallback));
+        let app = cfg.app.profile();
+        let power_model = app.power_model();
+        let grid_cap_w = n as f64 * power_model.power_w(ServerSetting::normal(), 1.0)
+            + st.batteries
+                .iter()
+                .flatten()
+                .map(|b| b.spec().max_charge_power_w())
+                .sum::<f64>();
+        EpochLoop {
+            cfg,
+            profiles,
+            window,
+            plant: Plant {
+                app,
+                profiles,
+                cache: &mut scratch.analytic_cache,
+            },
+            power_model,
+            pv,
+            n,
+            epoch_hours: cfg.epoch.as_hours_f64(),
+            grid_cap_w,
+            pmk,
+            shadow_pmk,
+            fallback_pmk: None,
+            guard,
+            auditor: cfg.audit.then(InvariantAuditor::new),
+            sims,
+            fleet: &mut scratch.fleet,
+            st,
+        }
     }
 
-    for k in start_k..n_epochs {
-        // Capture at the epoch boundary: nothing of epoch k has happened
-        // yet, so a resume from this state replays epoch k first. The
-        // resume boundary itself is not re-captured (`k > start_k`).
-        if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
-            let state = capture_state!(k);
-            hooks.on_snapshot(&state);
-            snap(state);
+    /// Continue from a captured state: the fields the controllers own
+    /// live move into them, and the rest becomes the loop's state. The
+    /// DES `sims` stay fresh (snapshots are gated to analytic
+    /// measurement) and the analytic cache re-derives itself on demand.
+    fn restore(&mut self, mut state: LoopState) {
+        if let (Some(saved), Some(learner)) = (state.learner.take(), self.pmk.learner_mut()) {
+            *learner = saved;
         }
-        let t = start + SimDuration::from_micros(cfg.epoch.as_micros() * k);
-        // The driver's per-tick directive: live supply override, declared
-        // telemetry staleness, or a forced degrade. Batch runs (NoHooks)
-        // always get the default no-op directive.
-        let dir = hooks.before_epoch(k, t);
-        if let Some(reason) = &dir.demote {
-            if let Some(g) = guard.as_mut() {
-                if g.force_demote(k, reason) {
-                    let mut p = Pmk::new(g.active_strategy(), profiles);
-                    p.hysteresis = cfg.switch_hysteresis;
-                    fallback_pmk = Some(p);
-                    // The learner is not suspect (the trigger was a
-                    // deadline overrun, not corruption), so it is benched
-                    // rather than quarantined — but a Bellman update
-                    // graded on an epoch the fallback steered would be
-                    // bogus, so the pending update is dropped.
-                    pending_q = None;
-                }
+        if let (Some(saved), Some(g)) = (state.guardrail.take(), self.guard.as_mut()) {
+            *g = Guardrail::restore(self.cfg.guardrail.clone(), saved);
+            if g.level() > 0 {
+                self.fallback_pmk =
+                    Some(strategy_pmk(self.cfg, self.profiles, g.active_strategy()));
             }
         }
-        // Planning lookahead: within a single burst this is the time to
-        // the burst's end; campaigns cap it at an hour (the controller
-        // cannot know a day ahead when load will subside).
-        let remaining = (end - t).min(SimDuration::from_mins(60));
-        let faults =
-            fault_plan.map_or_else(ActiveFaults::default, |p| p.active_during(t, t + cfg.epoch));
+        let violations = std::mem::take(&mut state.audit_violations);
+        if let Some(aud) = self.auditor.as_mut() {
+            *aud = InvariantAuditor::with_violations(violations);
+        }
+        self.st = state;
+    }
+
+    /// The loop's state as a snapshot: a clone, with the fields the
+    /// controllers own live filled in from them.
+    fn capture(&mut self) -> LoopState {
+        let mut state = self.st.clone();
+        state.learner = self.pmk.learner_mut().cloned();
+        state.guardrail = self.guard.as_ref().map(|g| g.state().clone());
+        state.audit_violations = self
+            .auditor
+            .as_ref()
+            .map_or_else(Vec::new, |a| a.violations().to_vec());
+        state
+    }
+
+    /// Run the window's remaining epochs, one stage at a time, and
+    /// assemble the outcome.
+    fn run(
+        mut self,
+        snapshot_every: u64,
+        hooks: &mut dyn EpochHooks,
+    ) -> (BurstOutcome, Monitor, Option<String>) {
+        let start_k = self.st.next_epoch;
+        let n_epochs = self.window.duration.div_duration(self.cfg.epoch);
+        let n_epochs = n_epochs.expect("validated in Engine::new");
+        // Pre-size the per-epoch append targets (capacity only — none of
+        // it is serialized) so the loop never reallocates them.
+        let epochs_left = n_epochs.saturating_sub(start_k) as usize;
+        self.st.epochs.reserve(epochs_left);
+        self.st.monitor.reserve_epochs(self.n, epochs_left);
+        while self.st.next_epoch < n_epochs {
+            let k = self.st.next_epoch;
+            // Capture at the epoch boundary: nothing of epoch k has
+            // happened yet, so a resume from this state replays epoch k
+            // first. The resume boundary itself is not re-captured.
+            if snapshot_every > 0 && k > start_k && k.is_multiple_of(snapshot_every) {
+                hooks.on_snapshot(self.capture());
+            }
+            let t = self.window.start + SimDuration::from_micros(self.cfg.epoch.as_micros() * k);
+            // The driver's per-tick directive: live supply override,
+            // declared telemetry staleness, or a forced degrade. Batch
+            // runs always get the default no-op directive.
+            let mut ep = self.faults_and_liveness(k, t, hooks.before_epoch(k, t));
+            self.telemetry_and_prediction(&mut ep);
+            self.battery_budgets(&ep);
+            let case = self.decide_and_replan(&mut ep);
+            self.actuate(&ep);
+            self.measure(&mut ep);
+            self.settle(&mut ep);
+            self.recharge(&mut ep);
+            self.audit(&ep);
+            self.thermal_advance(&ep);
+            self.observe(&mut ep);
+            self.learn_and_supervise(&mut ep);
+            self.record(&ep, case);
+            self.st.next_epoch = k + 1;
+            let rec = self.st.epochs.last().expect("just recorded");
+            if !hooks.after_epoch(k, rec, &self.fleet.settings) {
+                // Graceful drain: the driver asked to stop at this
+                // boundary. The capture is exactly what the periodic one
+                // of epoch k+1 would be, so a restart resumes with the
+                // next unexecuted epoch and zero warmup.
+                hooks.on_snapshot(self.capture());
+                break;
+            }
+        }
+        self.finish()
+    }
+
+    /// Stage 1 (Monitor, physical side): apply a driver-forced demotion,
+    /// replay the fault plan, and settle which servers are up and which
+    /// carry load.
+    fn faults_and_liveness(&mut self, k: u64, t: SimTime, dir: TickDirective) -> Epoch {
+        let cfg = self.cfg;
+        self.fleet.begin_epoch();
+        if let (Some(reason), Some(g)) = (&dir.demote, self.guard.as_mut()) {
+            if g.force_demote(k, reason) {
+                self.fallback_pmk = Some(strategy_pmk(cfg, self.profiles, g.active_strategy()));
+                // The learner is not suspect (the trigger was a deadline
+                // overrun, not corruption), so it is benched rather than
+                // quarantined — but a Bellman update graded on an epoch
+                // the fallback steered would be bogus, so the pending
+                // update is dropped.
+                self.st.pending_q = None;
+            }
+        }
+        let window_end = self.window.start + self.window.duration;
+        let remaining = (window_end - t).min(SimDuration::from_mins(60));
+        let faults = cfg
+            .fault_plan
+            .as_ref()
+            .map_or_else(ActiveFaults::default, |p| p.active_during(t, t + cfg.epoch));
         if faults.any() {
-            fault_epochs += 1;
+            self.st.fault_epochs += 1;
         }
         // Supply faults are physical: the inverter/breaker shapes what the
         // bus actually delivers, before any sensor sees it. A live-feed
         // directive replaces the trace-derived input, not the fault layer.
-        let re_actual_w = match dir.supply_w {
-            Some(w) => w.max(0.0) * faults.supply_factor,
-            None => pv.ac_output(trace.window_mean(t, t + cfg.epoch)) * faults.supply_factor,
-        };
-        // Battery fade is permanent; each fade event applies exactly once,
-        // when it first overlaps an epoch.
+        let supply_w = dir.supply_w.map_or_else(
+            || {
+                self.pv
+                    .ac_output(self.window.trace.window_mean(t, t + cfg.epoch))
+            },
+            |w| w.max(0.0),
+        );
+        let re_actual_w = supply_w * faults.supply_factor;
+        // The plan's one-shot events each apply exactly once, when they
+        // first overlap an epoch. Battery fade is permanent.
+        let st = &mut self.st;
         for &(idx, factor) in &faults.fades {
-            if !fade_done[idx] {
-                fade_done[idx] = true;
-                for b in batteries.iter_mut().flatten() {
+            if !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                for b in st.batteries.iter_mut().flatten() {
                     b.fade_capacity(factor);
                 }
             }
         }
         // Q-table poisoning is software corruption: it hits whichever
-        // policy is steering, once per event. While a learner-free ladder
-        // level steers there is nothing to poison and the event is spent.
+        // policy is steering. While a learner-free ladder level steers
+        // there is nothing to poison and the event is spent.
         for &(idx, magnitude) in &faults.poisons {
-            if !fade_done[idx] {
-                fade_done[idx] = true;
-                let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
+            if !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                let steering = self.fallback_pmk.as_mut().unwrap_or(&mut self.pmk);
                 if let Some(l) = steering.learner_mut() {
                     l.poison(magnitude);
                 }
             }
         }
-        // Fleet faults. A crash charges its outage onto the server's
-        // countdown exactly once; a flap takes the server down on
-        // alternating epochs of its window; either way the server's health
-        // streak resets, and it only regains load after `REJOIN_EPOCHS`
-        // consecutive healthy epochs.
+        // A crash charges its outage onto the server's countdown.
         for &(idx, server, crash_epochs) in &faults.crashes {
             let i = usize::from(server);
-            if i < n && !fade_done[idx] {
-                fade_done[idx] = true;
-                fleet.down_left[i] = fleet.down_left[i].max(crash_epochs);
-                fleet_events.push(format!(
+            if i < self.n && !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                st.down_left[i] = st.down_left[i].max(crash_epochs);
+                st.fleet_events.push(format!(
                     "epoch {k}: server {i} crashed for {crash_epochs} epoch(s)"
                 ));
             }
         }
-        for i in 0..n {
-            fleet.up[i] = fleet.down_left[i] == 0 && !faults.flap_down(i, t, cfg.epoch);
+        self.update_liveness(k, t, &faults);
+        let fleet = &*self.fleet;
+        let live_count = fleet.live.iter().filter(|&&l| l).count();
+        self.st.min_live_servers = self.st.min_live_servers.min(live_count);
+        let first_up = || fleet.up.iter().position(|&u| u);
+        let rep = fleet.live.iter().position(|&l| l).or_else(first_up);
+        Epoch {
+            k,
+            t,
+            remaining,
+            dir,
+            faults,
+            re_actual_w,
+            live_count,
+            // Plan against the believed live capacity.
+            plan_n: live_count.max(1),
+            rep,
+            ..Epoch::default()
         }
-        for i in 0..n {
+    }
+
+    /// Fleet liveness. A crashed server counts its outage down; a flap
+    /// takes the server down on alternating epochs of its window; either
+    /// way the server's health streak resets, and it only regains load
+    /// after `REJOIN_EPOCHS` consecutive healthy epochs.
+    fn update_liveness(&mut self, k: u64, t: SimTime, faults: &ActiveFaults) {
+        let (st, fleet) = (&mut self.st, &mut *self.fleet);
+        for i in 0..self.n {
+            fleet.up[i] = st.down_left[i] == 0 && !faults.flap_down(i, t, self.cfg.epoch);
+        }
+        for i in 0..self.n {
             if fleet.up[i] {
-                if fleet.health_streak[i] + 1 == REJOIN_EPOCHS {
-                    fleet_events.push(format!("epoch {k}: server {i} rejoined the plan"));
+                if st.health_streak[i] + 1 == REJOIN_EPOCHS {
+                    st.fleet_events
+                        .push(format!("epoch {k}: server {i} rejoined the plan"));
                 }
-                fleet.health_streak[i] = (fleet.health_streak[i] + 1).min(REJOIN_EPOCHS);
+                st.health_streak[i] = (st.health_streak[i] + 1).min(REJOIN_EPOCHS);
             } else {
-                if fleet.health_streak[i] > 0 {
-                    fleet_events.push(format!("epoch {k}: server {i} went down"));
+                if st.health_streak[i] > 0 {
+                    st.fleet_events
+                        .push(format!("epoch {k}: server {i} went down"));
                 }
-                fleet.health_streak[i] = 0;
-                dead_server_epochs += 1;
+                st.health_streak[i] = 0;
+                st.dead_server_epochs += 1;
                 // A dead server's control state is gone with it: the
                 // watchdog forgets its streaks and the hysteresis
                 // incumbent resets to Normal (it reboots into Normal).
-                watchdog.reset(i);
-                fleet.prev_settings[i] = ServerSetting::normal();
-                if fleet.down_left[i] > 0 {
-                    fleet.down_left[i] -= 1;
+                st.watchdog.reset(i);
+                st.prev_settings[i] = ServerSetting::normal();
+                if st.down_left[i] > 0 {
+                    st.down_left[i] -= 1;
                 }
             }
         }
         // `live` servers carry load and are sprint-planned; `up` servers
         // that have not yet served their rejoin probation idle at Normal.
-        for i in 0..n {
-            fleet.live[i] = fleet.up[i] && fleet.health_streak[i] >= REJOIN_EPOCHS;
+        for i in 0..self.n {
+            fleet.live[i] = fleet.up[i] && st.health_streak[i] >= REJOIN_EPOCHS;
         }
-        let live_count = fleet.live.iter().filter(|&&l| l).count();
-        min_live_servers = min_live_servers.min(live_count);
-        // Plan against the believed live capacity; the representative
-        // server for reward scoring is the first live (else first up) one.
-        let plan_n = live_count.max(1);
-        let rep: Option<usize> = fleet
-            .live
-            .iter()
-            .position(|&l| l)
-            .or_else(|| fleet.up.iter().position(|&u| u));
+    }
+
+    /// Stage 2 (Monitor → Predictor): what the controller believes about
+    /// supply and load, and its forecasts for the epoch.
+    fn telemetry_and_prediction(&mut self, ep: &mut Epoch) {
+        let st = &mut self.st;
         // Telemetry faults shape what the controller *believes*: a dropout
         // yields no reading at all; a delay serves last epoch's raw
         // reading; meter bias scales whatever the sensor outputs. A
         // driver-declared stale feed is indistinguishable from a dropout.
-        let fresh_obs_w = (!faults.sensor_dropout && !dir.telemetry_stale)
-            .then_some(re_actual_w * faults.meter_factor);
-        let obs_w = if faults.telemetry_delay {
-            last_raw_obs_w
+        ep.fresh_obs_w = (!ep.faults.sensor_dropout && !ep.dir.telemetry_stale)
+            .then_some(ep.re_actual_w * ep.faults.meter_factor);
+        ep.obs_w = if ep.faults.telemetry_delay {
+            st.last_raw_obs_w
         } else {
-            fresh_obs_w
+            ep.fresh_obs_w
         };
-        let in_safe_mode = obs_w.is_none();
-        let re_believed_w = match obs_w {
+        ep.re_believed_w = match ep.obs_w {
             Some(w) => {
-                safe_supply.observe_good(w);
+                st.safe_supply.observe_good(w);
                 w
             }
             None => {
                 // Safe mode: never plan against unverified supply — assume
                 // the worst recent verified observation, decayed.
-                safe_supply.mark_stale();
-                predictor.mark_re_stale();
-                safe_mode_epochs += 1;
-                safe_supply.planning_supply_w()
+                st.safe_supply.mark_stale();
+                st.predictor.mark_re_stale();
+                st.safe_mode_epochs += 1;
+                st.safe_supply.planning_supply_w()
             }
         };
         // The broker's routing seam: a driver-supplied load factor scales
         // the nominal offered stream (None — every batch path — is exactly
         // the nominal stream, so routing-free runs stay byte-identical).
-        let route_factor = dir.load_factor.map(|f| f.max(0.0));
-        let offered = (window.offered_rps)(t) * route_factor.unwrap_or(1.0);
+        let route_factor = ep.dir.load_factor.map(|f| f.max(0.0));
+        ep.offered = (self.window.offered_rps)(ep.t) * route_factor.unwrap_or(1.0);
         if let Some(f) = route_factor {
-            monitor.record_route(t, f);
+            st.monitor.record_route(ep.t, f);
         }
-
         // Predictions (fall back to the live observation on the first
         // epoch — the Monitor publishes it either way). In safe mode every
         // prediction is capped by the safe-mode supply estimate.
-        let re_pred_w = match cfg.predictor {
+        let in_safe_mode = ep.obs_w.is_none();
+        let believed = ep.re_believed_w;
+        ep.re_pred_w = match self.cfg.predictor {
             PredictorKind::PaperEwma => {
                 if in_safe_mode {
-                    predictor
-                        .re_supply_conservative(re_believed_w)
-                        .min(re_believed_w)
+                    st.predictor.re_supply_conservative(believed).min(believed)
                 } else {
-                    predictor.re_supply_w(re_believed_w)
+                    st.predictor.re_supply_w(believed)
                 }
             }
             PredictorKind::ClearSkyIndexed => {
-                let p = if k == 0 {
-                    re_believed_w
+                let p = if ep.k == 0 {
+                    believed
                 } else {
-                    cs_predictor.predict_w(t)
+                    st.cs_predictor.predict_w(ep.t)
                 };
                 if in_safe_mode {
-                    p.min(re_believed_w)
+                    p.min(believed)
                 } else {
                     p
                 }
             }
         };
-        let load_pred = predictor.workload_rps(offered);
+        ep.load_pred = st.predictor.workload_rps(ep.offered);
+    }
 
-        // Battery budgets: what survives this epoch vs the horizon.
-        let horizon = remaining.min(cfg.planning_horizon).max(cfg.epoch);
-        for (slot, b) in fleet.instant_w.iter_mut().zip(&*batteries) {
+    /// Stage 3 (PSS, battery side): what every battery can sustain over
+    /// this epoch, the planning horizon, and the remaining burst.
+    fn battery_budgets(&mut self, ep: &Epoch) {
+        let epoch = self.cfg.epoch;
+        let horizon = ep.remaining.min(self.cfg.planning_horizon).max(epoch);
+        let (batteries, fleet) = (&self.st.batteries, &mut *self.fleet);
+        for (slot, b) in fleet.instant_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
-                sustainable_power_memo(&mut fleet.budget_memo[0], b, cfg.epoch)
+                sustainable_power_memo(&mut fleet.budget_memo[0], b, epoch)
             });
         }
-        for (slot, b) in fleet.sustained_horizon_w.iter_mut().zip(&*batteries) {
+        for (slot, b) in fleet.sustained_horizon_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
                 sustainable_power_memo(&mut fleet.budget_memo[1], b, horizon)
             });
         }
-        for (slot, b) in fleet.sustained_remaining_w.iter_mut().zip(&*batteries) {
+        for (slot, b) in fleet.sustained_remaining_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
-                sustainable_power_memo(&mut fleet.budget_memo[2], b, remaining.max(cfg.epoch))
+                sustainable_power_memo(&mut fleet.budget_memo[2], b, ep.remaining.max(epoch))
             });
         }
         // SoC misreport scales the *controller's view* of every battery
         // budget; the physical packs (and settlement) are untouched.
-        if faults.soc_report_factor != 1.0 {
+        if ep.faults.soc_report_factor != 1.0 {
             for v in fleet
                 .instant_w
                 .iter_mut()
                 .chain(fleet.sustained_horizon_w.iter_mut())
                 .chain(fleet.sustained_remaining_w.iter_mut())
             {
-                *v *= faults.soc_report_factor;
+                *v *= ep.faults.soc_report_factor;
             }
         }
+    }
 
-        // PMK decision per green server, approximating the paper's
-        // per-server optimization (Eq. 2–3):
-        //
-        // * If every battery can cover its share of the full-sprint
-        //   deficit for the *whole remaining burst*, the optimum is the
-        //   uniform one — everyone sprints, renewable split evenly,
-        //   batteries topping up (the budget below then uses the
-        //   remaining-burst sustainable power).
-        // * Otherwise scarce green power is allocated *waterfall*-style:
-        //   earlier servers claim what they need and later ones plan with
-        //   the remainder, concentrating supply on a subset of full-sprint
-        //   servers instead of spreading it below the idle floor.
-        //
-        // Greedy is uniform by definition ("simply activate all cores")
-        // and always splits the supply evenly.
+    /// Stage 4 (PMK + PSS): choose every server's setting, then check the
+    /// rack-level plan against the *observed* renewable supply
+    /// (identical to the physical supply while telemetry is clean; the
+    /// safe-mode estimate when it is not). The PSS "performs switch
+    /// tuning based on the discrepancy between the workload power demand
+    /// and the green power supply" (paper §II): when the prediction
+    /// overshot, the PMK re-plans against the power the sensors can vouch
+    /// for before the epoch commits.
+    fn decide_and_replan(&mut self, ep: &mut Epoch) -> SupplyCase {
         // A demoted ladder level plans as the strategy actually steering.
-        let steering_strategy = guard.as_ref().map_or(strategy, |g| g.active_strategy());
+        let steering = self.guard.as_ref().map(Guardrail::active_strategy);
         let planning = matches!(
-            steering_strategy,
+            steering.unwrap_or(self.pmk.strategy()),
             Strategy::Parallel | Strategy::Pacing | Strategy::Hybrid
         );
-        re_sum_w += re_believed_w;
-        let re_mean_w = re_sum_w / (k + 1) as f64;
-        let full_sprint_w = profiles.planned_power_w(ServerSetting::max_sprint(), load_pred);
+        self.st.re_sum_w += ep.re_believed_w;
+        let re_mean_w = self.st.re_sum_w / (ep.k + 1) as f64;
+        let max_sprint = ServerSetting::max_sprint();
+        let full_sprint_w = self.profiles.planned_power_w(max_sprint, ep.load_pred);
         // Capacity re-plan: the deficit and the sustainability test are
         // taken over the *live* fleet — dead servers neither claim supply
         // nor owe battery coverage. `plan_n == n` on a healthy fleet, so
         // the arithmetic (and its float bits) is unchanged there.
-        let deficit_share = (full_sprint_w - re_mean_w / plan_n as f64).max(0.0);
+        let deficit_share = (full_sprint_w - re_mean_w / ep.plan_n as f64).max(0.0);
+        let fleet = &*self.fleet;
         let uniform_sustainable = deficit_share <= 1e-9
-            || (0..n).all(|i| !fleet.live[i] || fleet.sustained_remaining_w[i] >= deficit_share);
-        let waterfall = planning && !uniform_sustainable;
+            || (0..self.n)
+                .all(|i| !fleet.live[i] || fleet.sustained_remaining_w[i] >= deficit_share);
+        ep.waterfall = planning && !uniform_sustainable;
         // When the whole remaining burst is energetically covered, sprint
         // freely (instantaneous battery budget); otherwise hedge with the
         // planning-horizon sustainable power.
-        let use_instant = planning && uniform_sustainable;
-        let decide = |re_plan_w: f64,
-                      pmk: &mut Pmk,
-                      rng: &mut SimRng,
-                      capture_state: &mut Option<QState>,
-                      fleet: &mut FleetState| {
-            // An rng-free PMK decides as a pure function of (renewable
-            // share, battery budgets, hysteresis incumbent) — everything
-            // else, Hybrid's Q-table included, is constant across both
-            // passes of an epoch — so one memo entry serves every server
-            // presenting the same inputs. Hybrid with ε > 0 draws from
-            // `rng` inside `choose`, so it is never memoized.
-            let memoize = pmk.is_rng_free();
-            let mut re_unclaimed = re_plan_w;
-            for i in 0..n {
-                if !fleet.live[i] {
-                    // Dead and rejoin-probation servers take no part in
-                    // sprint planning — and consume no decision
-                    // randomness, so liveness alone steers the stream.
-                    fleet.settings[i] = ServerSetting::normal();
-                    continue;
-                }
-                let re_share = if waterfall {
-                    re_unclaimed
-                } else {
-                    re_plan_w / plan_n as f64
-                };
-                let sustained = if use_instant {
-                    fleet.instant_w[i]
-                } else {
-                    fleet.sustained_horizon_w[i]
-                };
-                if Some(i) == rep {
-                    if let Some(learner) = pmk.learner_mut() {
-                        // Same bits as `PmkContext::instant_budget_w`.
-                        *capture_state =
-                            Some(learner.state(re_share + fleet.instant_w[i], load_pred));
-                    }
-                }
-                let key = (
-                    re_share.to_bits(),
-                    fleet.instant_w[i].to_bits(),
-                    sustained.to_bits(),
-                    fleet.prev_settings[i],
-                );
-                let memo_hit = if memoize {
-                    fleet.decision_memo.get(key)
-                } else {
-                    None
-                };
-                let s = match memo_hit {
-                    Some(s) => s,
-                    None => {
-                        let ctx = PmkContext {
-                            predicted_load_rps: load_pred,
-                            re_share_w: re_share,
-                            battery_instant_w: fleet.instant_w[i],
-                            battery_sustained_w: sustained,
-                        };
-                        let s = pmk.choose(profiles, &ctx, rng);
-                        let s = pmk.apply_hysteresis(profiles, &ctx, fleet.prev_settings[i], s);
-                        if memoize {
-                            fleet.decision_memo.insert(key, s);
-                        }
-                        s
-                    }
-                };
-                if waterfall && s.is_sprinting() {
-                    re_unclaimed = (re_unclaimed - profiles.planned_power_w(s, load_pred)).max(0.0);
-                }
-                fleet.settings[i] = s;
-            }
-        };
-        let sprint_demand = |settings: &[ServerSetting]| -> f64 {
-            (0..n)
-                .filter(|&i| settings[i].is_sprinting())
-                .map(|i| profiles.planned_power_w(settings[i], load_pred))
-                .sum()
-        };
-
-        fleet.begin_epoch();
-        let mut q_state = None;
-        {
-            let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-            decide(re_pred_w, steering, &mut rng, &mut q_state, fleet);
-        }
-
-        // Rack-level PSS check against the *observed* renewable supply
-        // (identical to the physical supply while telemetry is clean; the
-        // safe-mode estimate when it is not — the PSS never plans against
-        // unverified supply). The PSS "performs switch tuning based on the
-        // discrepancy between the workload power demand and the green
-        // power supply" (paper §II): when the prediction overshot, the PMK
-        // re-plans against the power the sensors can vouch for before the
-        // epoch commits.
-        let batt_accept: f64 = batteries
+        ep.use_instant = planning && uniform_sustainable;
+        ep.q_state = self.decide(ep, ep.re_pred_w);
+        let batt_accept: f64 = self
+            .st
+            .batteries
             .iter()
             .map(|b| {
                 b.as_ref().map_or(0.0, |b| {
@@ -1554,57 +1506,146 @@ pub(crate) fn run_window_resumable(
                 })
             })
             .sum();
-        let batt_avail = |settings: &[ServerSetting], instant_w: &[f64]| -> f64 {
-            (0..n)
-                .filter(|&i| settings[i].is_sprinting())
-                .map(|i| instant_w[i])
-                .sum()
-        };
-        let mut plan = pss.plan(
-            sprint_demand(&fleet.settings),
-            re_believed_w,
-            batt_avail(&fleet.settings, &fleet.instant_w),
-            batt_accept,
-            0.0,
-        );
+        let mut plan = self.pss_plan(ep, batt_accept);
         if plan.unmet_w > 1.0 {
-            {
-                let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-                decide(re_believed_w, steering, &mut rng, &mut q_state, fleet);
-            }
-            plan = pss.plan(
-                sprint_demand(&fleet.settings),
-                re_believed_w,
-                batt_avail(&fleet.settings, &fleet.instant_w),
-                batt_accept,
-                0.0,
-            );
+            ep.q_state = self.decide(ep, ep.re_believed_w);
+            plan = self.pss_plan(ep, batt_accept);
             if plan.unmet_w > 1.0 {
                 // Genuine power emergency: finish sprinting (paper §III-B).
-                for s in &mut fleet.settings {
+                for s in &mut self.fleet.settings {
                     *s = ServerSetting::normal();
                 }
             }
         }
+        plan.case
+    }
 
-        // Actuation: what the control plane *applies* can differ from what
-        // the PMK commanded. Servers the watchdog has clamped are
-        // commanded Normal (the only setting needing no actuation); lost
-        // commands and stuck servers keep their previous setting; a
-        // core-activation failure caps how many cores can come up
-        // (deactivation always works and Normal's cores are already
-        // active, so the effective cap never drops below Normal).
-        for i in 0..n {
-            fleet.commanded[i] = if watchdog.is_clamped(i) {
+    /// The PMK decision per green server against `re_plan_w` of renewable
+    /// supply, approximating the paper's per-server optimization
+    /// (Eq. 2–3):
+    ///
+    /// * If every battery can cover its share of the full-sprint deficit
+    ///   for the *whole remaining burst*, the optimum is the uniform one —
+    ///   everyone sprints, renewable split evenly, batteries topping up.
+    /// * Otherwise scarce green power is allocated *waterfall*-style:
+    ///   earlier servers claim what they need and later ones plan with
+    ///   the remainder, concentrating supply on a subset of full-sprint
+    ///   servers instead of spreading it below the idle floor.
+    ///
+    /// Greedy is uniform by definition ("simply activate all cores") and
+    /// always splits the supply evenly. Returns Hybrid's state for the
+    /// representative server.
+    fn decide(&mut self, ep: &Epoch, re_plan_w: f64) -> Option<QState> {
+        let (st, fleet, profiles) = (&mut self.st, &mut *self.fleet, self.profiles);
+        let pmk = self.fallback_pmk.as_mut().unwrap_or(&mut self.pmk);
+        // An rng-free PMK decides as a pure function of (renewable share,
+        // battery budgets, hysteresis incumbent) — everything else,
+        // Hybrid's Q-table included, is constant across both passes of an
+        // epoch — so one memo entry serves every server presenting the
+        // same inputs. Hybrid with ε > 0 draws from the rng inside
+        // `choose`, so it is never memoized.
+        let memoize = pmk.is_rng_free();
+        let mut q_state = None;
+        let mut re_unclaimed = re_plan_w;
+        for i in 0..self.n {
+            if !fleet.live[i] {
+                // Dead and rejoin-probation servers take no part in sprint
+                // planning — and consume no decision randomness, so
+                // liveness alone steers the stream.
+                fleet.settings[i] = ServerSetting::normal();
+                continue;
+            }
+            let re_share = if ep.waterfall {
+                re_unclaimed
+            } else {
+                re_plan_w / ep.plan_n as f64
+            };
+            let sustained = if ep.use_instant {
+                fleet.instant_w[i]
+            } else {
+                fleet.sustained_horizon_w[i]
+            };
+            if Some(i) == ep.rep {
+                if let Some(learner) = pmk.learner_mut() {
+                    // Same bits as `PmkContext::instant_budget_w`.
+                    q_state = Some(learner.state(re_share + fleet.instant_w[i], ep.load_pred));
+                }
+            }
+            let key = (
+                re_share.to_bits(),
+                fleet.instant_w[i].to_bits(),
+                sustained.to_bits(),
+                st.prev_settings[i],
+            );
+            let memo_hit = if memoize {
+                fleet.decision_memo.get(key)
+            } else {
+                None
+            };
+            let s = match memo_hit {
+                Some(s) => s,
+                None => {
+                    let ctx = PmkContext {
+                        predicted_load_rps: ep.load_pred,
+                        re_share_w: re_share,
+                        battery_instant_w: fleet.instant_w[i],
+                        battery_sustained_w: sustained,
+                    };
+                    let s = pmk.choose(profiles, &ctx, &mut st.rng);
+                    let s = pmk.apply_hysteresis(profiles, &ctx, st.prev_settings[i], s);
+                    if memoize {
+                        fleet.decision_memo.insert(key, s);
+                    }
+                    s
+                }
+            };
+            if ep.waterfall && s.is_sprinting() {
+                re_unclaimed = (re_unclaimed - profiles.planned_power_w(s, ep.load_pred)).max(0.0);
+            }
+            fleet.settings[i] = s;
+        }
+        q_state
+    }
+
+    /// The PSS allocation of the current settings' sprint demand against
+    /// the observed supply and the sprinters' one-epoch battery budgets.
+    fn pss_plan(&self, ep: &Epoch, batt_accept: f64) -> SupplyPlan {
+        let fleet = &*self.fleet;
+        let sprinting = || (0..self.n).filter(|&i| fleet.settings[i].is_sprinting());
+        PowerSourceSelector::new().plan(
+            sprinting()
+                .map(|i| {
+                    self.profiles
+                        .planned_power_w(fleet.settings[i], ep.load_pred)
+                })
+                .sum(),
+            ep.re_believed_w,
+            sprinting().map(|i| fleet.instant_w[i]).sum(),
+            batt_accept,
+            0.0,
+        )
+    }
+
+    /// Stage 5: what the control plane *applies* can differ from what the
+    /// PMK commanded. Servers the watchdog has clamped are commanded
+    /// Normal (the only setting needing no actuation); lost commands and
+    /// stuck servers keep their previous setting; a core-activation
+    /// failure caps how many cores can come up (deactivation always works
+    /// and Normal's cores are already active, so the effective cap never
+    /// drops below Normal). Then the thermal guard.
+    fn actuate(&mut self, ep: &Epoch) {
+        let (st, fleet, faults) = (&mut self.st, &mut *self.fleet, &ep.faults);
+        for i in 0..self.n {
+            fleet.commanded[i] = if st.watchdog.is_clamped(i) {
                 ServerSetting::normal()
             } else {
                 fleet.settings[i]
             };
         }
-        if watchdog.clamped_count() > 0 {
-            watchdog_clamped_epochs += 1;
+        if st.watchdog.clamped_count() > 0 {
+            st.watchdog_clamped_epochs += 1;
         }
-        for i in 0..n {
+        for i in 0..self.n {
             if !fleet.up[i] {
                 // A dead server applies nothing and the watchdog stays
                 // quiet (it was reset on the down transition); it reboots
@@ -1613,7 +1654,7 @@ pub(crate) fn run_window_resumable(
                 continue;
             }
             let applied = if faults.command_lost(i) || faults.is_stuck(i) {
-                fleet.prev_settings[i]
+                st.prev_settings[i]
             } else if let Some(cap) = faults.core_cap {
                 let cap = cap.clamp(gs_cluster::NORMAL_CORES, gs_cluster::MAX_CORES);
                 let c = fleet.commanded[i];
@@ -1625,34 +1666,32 @@ pub(crate) fn run_window_resumable(
             } else {
                 fleet.commanded[i]
             };
-            watchdog.observe(i, fleet.commanded[i], applied);
+            st.watchdog.observe(i, fleet.commanded[i], applied);
             fleet.settings[i] = applied;
         }
-
         // Thermal guard: a server at its junction limit cannot sprint,
         // whatever the power situation (paper §II assumes the PCM package
         // keeps this from ever firing during the evaluated bursts; the
         // NoPcm model shows why that assumption was needed).
-        if !thermals.is_empty() {
-            for (setting, th) in fleet.settings.iter_mut().zip(&*thermals) {
-                if setting.is_sprinting() && th.is_throttling() {
-                    *setting = ServerSetting::normal();
-                }
+        for (setting, th) in fleet.settings.iter_mut().zip(&st.thermals) {
+            if setting.is_sprinting() && th.is_throttling() {
+                *setting = ServerSetting::normal();
             }
         }
+    }
 
-        // Measure the epoch. The offered load redistributes onto the live
-        // servers (a shrunken fleet serves the same rack-level demand);
-        // the `live_count == n` guard keeps the healthy-fleet arithmetic
-        // bit-identical to the pre-fleet code path.
-        let served_rps = if live_count == n || live_count == 0 {
-            offered
+    /// Stage 6: measure the epoch. The offered load redistributes onto
+    /// the live servers (a shrunken fleet serves the same rack-level
+    /// demand); the `live_count == n` guard keeps the healthy-fleet
+    /// arithmetic bit-identical to the pre-fleet code path.
+    fn measure(&mut self, ep: &mut Epoch) {
+        let n = self.n;
+        ep.served_rps = if ep.live_count == n || ep.live_count == 0 {
+            ep.offered
         } else {
-            offered * n as f64 / live_count as f64
+            ep.offered * n as f64 / ep.live_count as f64
         };
-        // SoA walk over several parallel arrays; the index form is the
-        // clearest way to touch them all in lockstep.
-        #[allow(clippy::needless_range_loop)]
+        let fleet = &mut *self.fleet;
         for i in 0..n {
             if !fleet.live[i] {
                 // Dead servers serve nothing; probation servers idle at
@@ -1661,10 +1700,16 @@ pub(crate) fn run_window_resumable(
                 continue;
             }
             let setting = fleet.settings[i];
-            let perf = match cfg.measurement {
+            fleet.perfs[i] = match self.cfg.measurement {
                 MeasurementMode::Des => {
-                    let admit = profiles.get(setting).slo_capacity;
-                    sims[i].advance_epoch(&app, setting, served_rps, admit, cfg.epoch)
+                    let admit = self.profiles.get(setting).slo_capacity;
+                    self.sims[i].advance_epoch(
+                        &self.plant.app,
+                        setting,
+                        ep.served_rps,
+                        admit,
+                        self.cfg.epoch,
+                    )
                 }
                 // Within one epoch the served rate is constant, so the
                 // per-epoch memo (a short linear scan) answers repeats
@@ -1673,39 +1718,36 @@ pub(crate) fn run_window_resumable(
                     match fleet.perf_memo.iter().find(|(s, _)| *s == setting) {
                         Some((_, p)) => p.clone(),
                         None => {
-                            let p = analytic_cache
-                                .entry((setting, served_rps.to_bits()))
-                                .or_insert_with(|| {
-                                    measure_analytic(&app, profiles, setting, served_rps)
-                                })
-                                .clone();
+                            let p = self.plant.perf(setting, ep.served_rps);
                             fleet.perf_memo.push((setting, p.clone()));
                             p
                         }
                     }
                 }
             };
-            fleet.perfs[i] = perf;
         }
         // Stragglers degrade delivered goodput on an otherwise-alive
         // server (slow disk, thermal neighbor, NIC trouble) — applied
         // after measurement so power and latency stay those of the chosen
         // setting.
-        if !faults.stragglers.is_empty() {
+        if !ep.faults.stragglers.is_empty() {
             for i in 0..n {
                 if fleet.up[i] {
-                    let factor = faults.straggler_factor(i);
+                    let factor = ep.faults.straggler_factor(i);
                     if factor != 1.0 {
                         fleet.perfs[i].goodput_rps *= factor;
-                        straggler_epochs += 1;
+                        self.st.straggler_epochs += 1;
                     }
                 }
             }
         }
+    }
 
-        // Settle actual energy flows. `settled_server_wh` accumulates the
-        // source-side deliveries into servers, independently of the
-        // meters, so the auditor can balance the books against it.
+    /// Stage 7: settle the actual energy flows of serving against the
+    /// meters, then charge the batteries from surplus renewable.
+    fn settle(&mut self, ep: &mut Epoch) {
+        let (n, epoch_hours, epoch) = (self.n, self.epoch_hours, self.cfg.epoch);
+        let (st, fleet, power_model) = (&mut self.st, &mut *self.fleet, self.power_model);
         fleet.sprinting.clear();
         for i in 0..n {
             if fleet.settings[i].is_sprinting() {
@@ -1721,34 +1763,31 @@ pub(crate) fn run_window_resumable(
                 0.0
             };
         }
-        let dead_server_wh: f64 = (0..n)
+        ep.dead_server_wh = (0..n)
             .filter(|&i| !fleet.up[i])
             .map(|i| fleet.actual_power[i] * epoch_hours)
             .sum();
-        let mut re_left = re_actual_w;
-        let mut re_used_w = 0.0;
-        let mut battery_w = 0.0;
-        let mut settled_server_wh = 0.0;
+        let mut re_left = ep.re_actual_w;
         for &i in &fleet.sprinting {
             // Mirror the planning-time allocation: waterfall strategies
             // let earlier servers claim their full draw; uniform ones
             // split the supply evenly.
-            let re_share = if waterfall {
+            let re_share = if ep.waterfall {
                 re_left
             } else {
-                re_left.min(re_actual_w / fleet.sprinting.len() as f64)
+                re_left.min(ep.re_actual_w / fleet.sprinting.len() as f64)
             };
             let from_re = fleet.actual_power[i].min(re_share);
             re_left -= from_re;
-            re_used_w += from_re;
-            settled_server_wh += from_re * epoch_hours;
+            ep.re_used_w += from_re;
+            ep.settled_server_wh += from_re * epoch_hours;
             let shortfall = fleet.actual_power[i] - from_re;
             if shortfall > 0.0 {
                 let drain_memo = &mut fleet.drain_memo;
-                let out = batteries[i]
+                let out = st.batteries[i]
                     .as_mut()
                     .map(|b| {
-                        b.discharge_memoized(shortfall, cfg.epoch, &mut |spec, current| {
+                        b.discharge_memoized(shortfall, epoch, &mut |spec, current| {
                             let key = (current.to_bits(), spec.capacity_ah.to_bits());
                             drain_memo
                                 .get_or_insert_with(key, || spec.peukert_drain_ah_per_hour(current))
@@ -1758,8 +1797,8 @@ pub(crate) fn run_window_resumable(
                         delivered_wh: 0.0,
                         sustained: SimDuration::ZERO,
                     });
-                battery_w += out.delivered_wh / epoch_hours;
-                settled_server_wh += out.delivered_wh;
+                ep.battery_w += out.delivered_wh / epoch_hours;
+                ep.settled_server_wh += out.delivered_wh;
                 let gap_wh = shortfall * epoch_hours - out.delivered_wh;
                 if gap_wh > 1e-9 {
                     // The battery (or a renewable prediction error) could
@@ -1767,36 +1806,33 @@ pub(crate) fn run_window_resumable(
                     // server drops back to Normal mode on the grid for the
                     // remainder, and the epoch's performance is settled as
                     // the time-weighted blend of the two regimes.
-                    let w = (out.sustained.as_secs_f64() / cfg.epoch.as_secs_f64()).clamp(0.0, 1.0);
-                    let normal_perf = analytic_cache
-                        .entry((ServerSetting::normal(), served_rps.to_bits()))
-                        .or_insert_with(|| {
-                            measure_analytic(&app, profiles, ServerSetting::normal(), served_rps)
-                        })
-                        .clone();
+                    let w = (out.sustained.as_secs_f64() / epoch.as_secs_f64()).clamp(0.0, 1.0);
+                    let normal_perf = self.plant.perf(ServerSetting::normal(), ep.served_rps);
                     fleet.perfs[i] = blend_perf(&fleet.perfs[i], &normal_perf, w);
                     let normal_power =
                         power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
-                    meter.record(Source::Grid, normal_power * (1.0 - w), epoch_hours);
-                    settled_server_wh += normal_power * (1.0 - w) * epoch_hours;
+                    st.meter
+                        .record(Source::Grid, normal_power * (1.0 - w), epoch_hours);
+                    ep.settled_server_wh += normal_power * (1.0 - w) * epoch_hours;
                 }
             }
         }
-        meter.record(Source::Renewable, re_used_w, epoch_hours);
-        meter.record(Source::Battery, battery_w, epoch_hours);
+        st.meter
+            .record(Source::Renewable, ep.re_used_w, epoch_hours);
+        st.meter.record(Source::Battery, ep.battery_w, epoch_hours);
         // Normal-mode servers ride the grid budget; dead servers draw
         // nothing and are never metered.
         for i in 0..n {
             if !fleet.settings[i].is_sprinting() && fleet.up[i] {
-                meter.record(Source::Grid, fleet.actual_power[i], epoch_hours);
-                settled_server_wh += fleet.actual_power[i] * epoch_hours;
+                st.meter
+                    .record(Source::Grid, fleet.actual_power[i], epoch_hours);
+                ep.settled_server_wh += fleet.actual_power[i] * epoch_hours;
             }
         }
         // Surplus renewable charges the batteries; the rest is curtailed.
-        let mut charged_w = 0.0;
         if re_left > 0.0 {
             fleet.open.clear();
-            for (i, b) in batteries.iter().enumerate() {
+            for (i, b) in st.batteries.iter().enumerate() {
                 if b.as_ref().is_some_and(|b| !b.is_full()) {
                     fleet.open.push(i);
                 }
@@ -1804,137 +1840,136 @@ pub(crate) fn run_window_resumable(
             if !fleet.open.is_empty() {
                 let share = re_left / fleet.open.len() as f64;
                 for &i in &fleet.open {
-                    let drawn = batteries[i]
+                    let drawn = st.batteries[i]
                         .as_mut()
                         .expect("filtered to Some")
-                        .charge(share, cfg.epoch);
-                    charged_w += drawn;
+                        .charge(share, epoch);
+                    ep.charged_w += drawn;
                 }
             }
-            meter.record_curtailment(re_left - charged_w, epoch_hours);
+            st.meter
+                .record_curtailment(re_left - ep.charged_w, epoch_hours);
         }
+    }
 
-        // Grid recharge (paper case 3): once a battery reaches its DoD
-        // goal it recharges from the grid — but only "if the workload
-        // burst can be completed in this period", i.e. while no
-        // sprint-worthy demand is pending. Recharging *during* a burst
-        // would amortize grid energy into the sprint, exactly the budget
-        // overdraw the green bus exists to avoid.
-        let burst_pending = offered > profiles.get(ServerSetting::normal()).slo_capacity;
-        let mut epoch_grid_recharge_wh = 0.0;
-        for i in 0..n {
-            let Some(b) = batteries[i].as_mut() else {
+    /// Stage 7, continued — grid recharge (paper case 3): once a battery
+    /// reaches its DoD goal it recharges from the grid, but only "if the
+    /// workload burst can be completed in this period", i.e. while no
+    /// sprint-worthy demand is pending. Recharging *during* a burst would
+    /// amortize grid energy into the sprint, exactly the budget overdraw
+    /// the green bus exists to avoid.
+    fn recharge(&mut self, ep: &mut Epoch) {
+        let burst_pending = ep.offered > self.profiles.get(ServerSetting::normal()).slo_capacity;
+        let st = &mut self.st;
+        for i in 0..self.n {
+            let Some(b) = st.batteries[i].as_mut() else {
                 continue;
             };
-            // Trigger at (or within a whisker of) the DoD goal — exact
-            // floor equality rarely happens because the PSS re-plan backs
-            // off just before the last milliamp-hour.
+            // The latch: trigger at (or within a whisker of) the DoD goal —
+            // exact floor equality rarely happens because the PSS re-plan
+            // backs off just before the last milliamp-hour. Once
+            // triggered, the grid tops the unit back up whenever its
+            // server is not sprinting, until full.
             if b.dod_fraction() >= b.spec().max_dod - 0.02 {
-                grid_recharging[i] = true;
+                st.grid_recharging[i] = true;
             }
-            if grid_recharging[i] && !fleet.settings[i].is_sprinting() && !burst_pending {
-                let drawn = b.charge(b.spec().max_charge_power_w(), cfg.epoch);
+            if st.grid_recharging[i] && !self.fleet.settings[i].is_sprinting() && !burst_pending {
+                let drawn = b.charge(b.spec().max_charge_power_w(), self.cfg.epoch);
                 if drawn > 0.0 {
-                    meter.record(Source::Grid, drawn, epoch_hours);
-                    in_burst_grid_recharge_wh += drawn * epoch_hours;
-                    epoch_grid_recharge_wh += drawn * epoch_hours;
+                    st.meter.record(Source::Grid, drawn, self.epoch_hours);
+                    st.in_burst_grid_recharge_wh += drawn * self.epoch_hours;
+                    ep.epoch_grid_recharge_wh += drawn * self.epoch_hours;
                 }
             }
             if b.is_full() {
-                grid_recharging[i] = false;
+                st.grid_recharging[i] = false;
             }
         }
+    }
 
-        // Audit the epoch's settled books before anything else runs.
-        if let Some(aud) = auditor.as_mut() {
-            let grid_now = meter.energy_wh(Source::Grid);
-            let curtailed_now = meter.curtailed_wh();
-            fleet.socs.clear();
-            fleet.socs.extend(
-                batteries
-                    .iter()
-                    .flatten()
-                    .map(|b| (b.soc_fraction(), b.spec().max_dod)),
-            );
-            let mut flows = EpochFlows {
-                epoch_index: k as usize,
-                supply_wh: re_actual_w * epoch_hours,
-                battery_discharge_wh: battery_w * epoch_hours,
-                grid_wh: grid_now - audited_grid_wh,
-                server_wh: settled_server_wh,
-                charge_wh: charged_w * epoch_hours + epoch_grid_recharge_wh,
-                curtailed_wh: curtailed_now - audited_curtailed_wh,
-                socs: std::mem::take(&mut fleet.socs),
-                grid_cap_w,
-                epoch_hours,
-                // While a demoted ladder level steers, the rack must never
-                // serve below the Normal floor — failover is a degradation
-                // bound, not a license to collapse. The floor is owed by
-                // the *live* fleet: a dead server serves nothing and owes
-                // nothing. The tolerance absorbs blend rounding (and DES
-                // stochasticity vs the analytic floor estimate).
-                failover_floor: match guard.as_ref() {
-                    Some(g) if g.level() > 0 => {
-                        let normal_perf = analytic_cache
-                            .entry((ServerSetting::normal(), served_rps.to_bits()))
-                            .or_insert_with(|| {
-                                measure_analytic(
-                                    &app,
-                                    profiles,
-                                    ServerSetting::normal(),
-                                    served_rps,
-                                )
-                            })
-                            .clone();
-                        let tol = match cfg.measurement {
-                            MeasurementMode::Analytic => 0.99,
-                            MeasurementMode::Des => 0.85,
-                        };
-                        // A straggler degrades Normal-mode serving just as
-                        // much as demoted serving; weight its share of the
-                        // floor accordingly (1.0 per healthy server).
-                        let live_weight: f64 = (0..n)
-                            .filter(|&i| fleet.live[i])
-                            .map(|i| faults.straggler_factor(i))
-                            .sum();
-                        Some((
-                            fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
-                            normal_perf.goodput_rps * live_weight * tol,
-                        ))
-                    }
-                    _ => None,
-                },
-                live_servers: live_count,
-                dead_server_wh,
-                // The capacity ceiling is exact only on the analytic
-                // plane; DES queue drain can legitimately complete a few
-                // requests above the per-epoch steady-state capacity.
-                goodput_capacity: matches!(cfg.measurement, MeasurementMode::Analytic).then(|| {
-                    (
-                        fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
-                        live_count as f64 * profiles.get(ServerSetting::max_sprint()).slo_capacity,
-                    )
-                }),
-            };
-            aud.check_epoch(&flows);
-            // Reclaim the SoC list's allocation for the next epoch.
-            fleet.socs = std::mem::take(&mut flows.socs);
-            audited_grid_wh = grid_now;
-            audited_curtailed_wh = curtailed_now;
-        }
+    /// Stage 8: audit the epoch's settled books before anything else runs.
+    fn audit(&mut self, ep: &Epoch) {
+        let Some(aud) = self.auditor.as_mut() else {
+            return;
+        };
+        let (st, fleet, epoch_hours) = (&mut self.st, &mut *self.fleet, self.epoch_hours);
+        let goodput: f64 = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
+        // While a demoted ladder level steers, the rack must never serve
+        // below the Normal floor — failover is a degradation bound, not a
+        // license to collapse. The floor is owed by the *live* fleet: a
+        // dead server serves nothing and owes nothing. The tolerance
+        // absorbs blend rounding (and DES stochasticity vs the analytic
+        // floor estimate).
+        let failover_floor = match self.guard.as_ref() {
+            Some(g) if g.level() > 0 => {
+                let normal_perf = self.plant.perf(ServerSetting::normal(), ep.served_rps);
+                let tol = match self.cfg.measurement {
+                    MeasurementMode::Analytic => 0.99,
+                    MeasurementMode::Des => 0.85,
+                };
+                // A straggler degrades Normal-mode serving just as much as
+                // demoted serving; weight its share of the floor
+                // accordingly (1.0 per healthy server).
+                let live_weight: f64 = (0..self.n)
+                    .filter(|&i| fleet.live[i])
+                    .map(|i| ep.faults.straggler_factor(i))
+                    .sum();
+                Some((goodput, normal_perf.goodput_rps * live_weight * tol))
+            }
+            _ => None,
+        };
+        let grid_now = st.meter.energy_wh(Source::Grid);
+        let curtailed_now = st.meter.curtailed_wh();
+        fleet.socs.clear();
+        fleet.socs.extend(
+            st.batteries
+                .iter()
+                .flatten()
+                .map(|b| (b.soc_fraction(), b.spec().max_dod)),
+        );
+        let max_sprint_capacity = self.profiles.get(ServerSetting::max_sprint()).slo_capacity;
+        let mut flows = EpochFlows {
+            epoch_index: ep.k as usize,
+            supply_wh: ep.re_actual_w * epoch_hours,
+            battery_discharge_wh: ep.battery_w * epoch_hours,
+            grid_wh: grid_now - st.audited_grid_wh,
+            server_wh: ep.settled_server_wh,
+            charge_wh: ep.charged_w * epoch_hours + ep.epoch_grid_recharge_wh,
+            curtailed_wh: curtailed_now - st.audited_curtailed_wh,
+            socs: std::mem::take(&mut fleet.socs),
+            grid_cap_w: self.grid_cap_w,
+            epoch_hours,
+            failover_floor,
+            live_servers: ep.live_count,
+            dead_server_wh: ep.dead_server_wh,
+            // The capacity ceiling is exact only on the analytic plane;
+            // DES queue drain can legitimately complete a few requests
+            // above the per-epoch steady-state capacity.
+            goodput_capacity: matches!(self.cfg.measurement, MeasurementMode::Analytic)
+                .then(|| (goodput, ep.live_count as f64 * max_sprint_capacity)),
+        };
+        aud.check_epoch(&flows);
+        // Reclaim the SoC list's allocation for the next epoch.
+        fleet.socs = std::mem::take(&mut flows.socs);
+        st.audited_grid_wh = grid_now;
+        st.audited_curtailed_wh = curtailed_now;
+    }
 
-        // Advance the thermal state under the power actually drawn. A
-        // sprint that crosses the junction limit mid-epoch throttles to
-        // Normal for the remainder (hardware DVFS reacts in milliseconds)
-        // and the epoch's performance is blended accordingly.
+    /// Stage 9: advance the thermal state under the power actually drawn.
+    /// A sprint that crosses the junction limit mid-epoch throttles to
+    /// Normal for the remainder (hardware DVFS reacts in milliseconds) and
+    /// the epoch's performance is blended accordingly.
+    fn thermal_advance(&mut self, ep: &Epoch) {
+        let (st, fleet, epoch) = (&mut self.st, &mut *self.fleet, self.cfg.epoch);
+        let power_model = self.power_model;
         let mut any_thermal_throttle = false;
-        for (i, pkg) in thermals.iter_mut().enumerate() {
+        for (i, pkg) in st.thermals.iter_mut().enumerate() {
             if !fleet.settings[i].is_sprinting() {
-                pkg.advance(fleet.actual_power[i], cfg.epoch);
-                peak_temp_c = peak_temp_c.max(pkg.temp_c());
+                pkg.advance(fleet.actual_power[i], epoch);
+                st.peak_temp_c = st.peak_temp_c.max(pkg.temp_c());
                 continue;
             }
-            let total_s = cfg.epoch.as_secs().max(1);
+            let total_s = epoch.as_secs().max(1);
             let mut crossed_at: Option<u64> = None;
             for s in 0..total_s {
                 if pkg.is_throttling() {
@@ -1946,315 +1981,298 @@ pub(crate) fn run_window_resumable(
             if let Some(s) = crossed_at {
                 any_thermal_throttle = true;
                 let w = s as f64 / total_s as f64;
-                let normal_perf = analytic_cache
-                    .entry((ServerSetting::normal(), offered.to_bits()))
-                    .or_insert_with(|| {
-                        measure_analytic(&app, profiles, ServerSetting::normal(), offered)
-                    })
-                    .clone();
+                let normal_perf = self.plant.perf(ServerSetting::normal(), ep.offered);
                 fleet.perfs[i] = blend_perf(&fleet.perfs[i], &normal_perf, w);
                 let normal_power =
                     power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
                 pkg.advance(normal_power, SimDuration::from_secs(total_s - s));
             }
-            peak_temp_c = peak_temp_c.max(pkg.temp_c());
+            st.peak_temp_c = st.peak_temp_c.max(pkg.temp_c());
         }
         if any_thermal_throttle {
-            thermal_throttle_epochs += 1;
+            st.thermal_throttle_epochs += 1;
         }
+    }
 
-        // Observations → Monitor → Predictor. The Monitor (and everything
-        // downstream of it) sees what the *sensors* report — held-over
-        // last-good values during dropout, biased readings under meter
-        // faults — with quality flags saying which readings to trust. The
-        // EpochRecord below keeps the physical values for energy audits.
-        let goodput: f64 = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
-        let soc = mean_soc(&batteries);
-        let soc_reported = (soc * faults.soc_report_factor).min(1.0);
-        monitor.record_q(
-            t,
+    /// Stage 10 (Monitor → Predictor): publish the epoch's observations.
+    /// The Monitor (and everything downstream of it) sees what the
+    /// *sensors* report — held-over last-good values during dropout,
+    /// biased readings under meter faults — with quality flags saying
+    /// which readings to trust. The EpochRecord keeps the physical values
+    /// for energy audits.
+    fn observe(&mut self, ep: &mut Epoch) {
+        let (st, fleet) = (&mut self.st, &*self.fleet);
+        ep.goodput = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
+        ep.soc = mean_soc(&st.batteries);
+        let soc_reported = (ep.soc * ep.faults.soc_report_factor).min(1.0);
+        st.monitor.record_q(
+            ep.t,
             Observation {
-                re_supply_w: obs_w.unwrap_or(0.0),
+                re_supply_w: ep.obs_w.unwrap_or(0.0),
                 demand_w: fleet.actual_power.iter().sum(),
-                battery_w,
+                battery_w: ep.battery_w,
                 battery_soc: soc_reported,
-                goodput_rps: goodput,
-                offered_rps: offered,
+                goodput_rps: ep.goodput,
+                offered_rps: ep.offered,
             },
             ObservationQuality {
-                re_fresh: obs_w.is_some(),
-                soc_trusted: faults.soc_report_factor == 1.0,
+                re_fresh: ep.obs_w.is_some(),
+                soc_trusted: ep.faults.soc_report_factor == 1.0,
             },
         );
         // The EWMA holds its last-good state through dropouts: only
         // verified readings are fed.
-        if let Some(w) = obs_w {
-            predictor.observe_re_supply(w);
-            cs_predictor.observe(t, w);
+        if let Some(w) = ep.obs_w {
+            st.predictor.observe_re_supply(w);
+            st.cs_predictor.observe(ep.t, w);
         }
-        predictor.observe_workload(offered);
+        st.predictor.observe_workload(ep.offered);
         // The telemetry delay line advances every epoch; a reading lost to
         // a dropout stays lost (a delayed read of nothing is nothing).
-        last_raw_obs_w = fresh_obs_w;
+        st.last_raw_obs_w = ep.fresh_obs_w;
+        st.monitor.record_fleet(ep.t, &fleet.up);
+    }
 
-        monitor.record_fleet(t, &fleet.up);
-
-        // The representative server for reward scoring — the first live
-        // (else first up) server: the Hybrid Bellman update and the
-        // guardrail's shadow comparison both grade the epoch with
-        // Algorithm 1's reward on it. With the whole fleet down there is
-        // nothing to score and no detector has signal.
-        let steering_level = guard.as_ref().map_or(0, |g| g.level());
-        if let Some(r0) = rep {
-            let supply0_w = re_believed_w / plan_n as f64 + fleet.instant_w[r0];
-            let active_inputs = RewardInputs {
-                power_supply_w: supply0_w,
-                power_current_w: fleet.actual_power[r0],
-                qos_target_s: app.slo_deadline_s,
-                qos_current_s: fleet.perfs[r0].slo_percentile_latency_s,
-                offered_slo_fraction: if fleet.perfs[r0].offered_rps > 0.0 {
-                    fleet.perfs[r0].goodput_rps / fleet.perfs[r0].offered_rps
-                } else {
-                    1.0
-                },
-                slo_percentile: app.slo_percentile,
-            };
-
-            // Hybrid: reward and Bellman update on the representative server.
-            // While a demoted ladder level steers, `pending_q` stays `None`
-            // (the steering controller is learner-free), so no update fires.
-            if let Some(learner) = pmk.learner_mut() {
-                let r = reward(&active_inputs);
-                let next_state = learner.state(supply0_w, offered);
-                if let Some((s_prev, a_prev)) = pending_q {
-                    learner.update(s_prev, a_prev, r, next_state);
-                }
-                pending_q = q_state.map(|s| (s, fleet.settings[r0]));
-            }
-
-            // Guardrail: score the shadow fallback on the same planning
-            // context, feed the detectors, and act on the ladder verdict.
-            // Demotions and promotions take effect from the next epoch.
-            if let Some(g) = guard.as_mut() {
-                // Shadow decision for the representative server. The fallback
-                // strategies are rng-free by construction (GuardrailConfig
-                // validation rejects Hybrid), so the throwaway rng preserves
-                // the run's main stream byte-for-byte.
-                let shadow = shadow_pmk.as_mut().expect("guardrail carries a shadow");
-                let shadow_ctx = PmkContext {
-                    predicted_load_rps: load_pred,
-                    re_share_w: re_believed_w / plan_n as f64,
-                    battery_instant_w: fleet.instant_w[r0],
-                    battery_sustained_w: if use_instant {
-                        fleet.instant_w[r0]
-                    } else {
-                        fleet.sustained_horizon_w[r0]
-                    },
-                };
-                let mut throwaway = SimRng::seed_from_u64(0);
-                let chosen = shadow.choose(profiles, &shadow_ctx, &mut throwaway);
-                let shadow_setting =
-                    shadow.apply_hysteresis(profiles, &shadow_ctx, g.shadow_prev(), chosen);
-                g.set_shadow_prev(shadow_setting);
-                let shadow_perf = analytic_cache
-                    .entry((shadow_setting, served_rps.to_bits()))
-                    .or_insert_with(|| measure_analytic(&app, profiles, shadow_setting, served_rps))
-                    .clone();
-                let shadow_inputs = RewardInputs {
-                    power_supply_w: supply0_w,
-                    power_current_w: power_model.power_w(shadow_setting, shadow_perf.utilization),
-                    qos_target_s: app.slo_deadline_s,
-                    qos_current_s: shadow_perf.slo_percentile_latency_s,
-                    offered_slo_fraction: if shadow_perf.offered_rps > 0.0 {
-                        shadow_perf.goodput_rps / shadow_perf.offered_rps
-                    } else {
-                        1.0
-                    },
-                    slo_percentile: app.slo_percentile,
-                };
-                let slo_ok = |p: &EpochPerf| {
-                    p.slo_percentile_latency_s <= app.slo_deadline_s
-                        && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
-                };
-                // Corruption scan on whichever policy is steering; a
-                // learner-free rung has no table to corrupt.
-                let cap = g.config().value_explosion_cap;
-                let table_corrupt = {
-                    let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-                    steering.learner_mut().is_some_and(|l| {
-                        let stats = l.table_stats();
-                        stats.non_finite > 0
-                            || stats.max_abs > cap
-                            || pending_q.is_some_and(|(s, _)| !s.in_range())
-                    })
-                };
-                monitor.record_ladder(t, steering_level);
-                match g.observe(&EpochSignals {
-                    epoch_index: k,
-                    active_reward: reward(&active_inputs),
-                    shadow_reward: reward(&shadow_inputs),
-                    active_slo_ok: slo_ok(&fleet.perfs[r0]),
-                    shadow_slo_ok: slo_ok(&shadow_perf),
-                    battery_discharge_w: battery_w,
-                    planned_battery_w: if use_instant {
-                        fleet.instant_w.iter().sum()
-                    } else {
-                        fleet.sustained_horizon_w.iter().sum()
-                    },
-                    table_corrupt,
-                    live_fraction: live_count as f64 / n as f64,
-                }) {
-                    GuardrailAction::Demote { reason } => {
-                        // Quarantine the learner the demoted rung steered
-                        // with; rungs below the top are learner-free.
-                        if fallback_pmk.is_none() {
-                            if let Some(l) = pmk.learner_mut() {
-                                let rec = QuarantineRecord::new(k, &reason, l.to_json());
-                                let detail = match g.config().quarantine_dir.clone() {
-                                    Some(dir) => match rec.write_to(&dir) {
-                                        Ok(path) => format!(" -> {path}"),
-                                        Err(e) => format!(" (sidecar write failed: {e})"),
-                                    },
-                                    None => String::new(),
-                                };
-                                g.note_quarantine(k, &rec.checksum, &detail);
-                                // The quarantined table never steers again: a
-                                // future re-promotion restarts from the
-                                // deterministic profile bootstrap.
-                                pmk = Pmk::new(strategy, profiles);
-                                pmk.hysteresis = cfg.switch_hysteresis;
-                                pending_q = None;
-                            }
-                        }
-                        let mut p = Pmk::new(g.active_strategy(), profiles);
-                        p.hysteresis = cfg.switch_hysteresis;
-                        fallback_pmk = Some(p);
-                    }
-                    GuardrailAction::Promote => {
-                        if g.level() == 0 {
-                            fallback_pmk = None;
-                        } else {
-                            let mut p = Pmk::new(g.active_strategy(), profiles);
-                            p.hysteresis = cfg.switch_hysteresis;
-                            fallback_pmk = Some(p);
-                        }
-                        pending_q = None;
-                    }
-                    GuardrailAction::Hold => {}
-                }
-            }
-        } else {
+    /// Stage 11 (PMK learning, Algorithm 1): grade the epoch with the
+    /// reward on the representative server, apply Hybrid's Bellman
+    /// update, and let the guardrail supervise. With the whole fleet down
+    /// there is nothing to score and no detector has signal.
+    fn learn_and_supervise(&mut self, ep: &mut Epoch) {
+        ep.steering_level = self.guard.as_ref().map_or(0, |g| g.level());
+        let Some(r0) = ep.rep else {
             // Whole fleet down: drop any pending Bellman update (there is
             // no epoch to grade it against) and keep the ladder stream
             // continuous for the Monitor.
-            pending_q = None;
-            if let Some(g) = guard.as_ref() {
-                monitor.record_ladder(t, g.level());
+            self.st.pending_q = None;
+            if let Some(g) = self.guard.as_ref() {
+                self.st.monitor.record_ladder(ep.t, g.level());
             }
+            return;
+        };
+        let (fleet, app) = (&*self.fleet, &self.plant.app);
+        let supply0_w = ep.re_believed_w / ep.plan_n as f64 + fleet.instant_w[r0];
+        let active = reward_inputs(app, supply0_w, fleet.actual_power[r0], &fleet.perfs[r0]);
+        // While a demoted ladder level steers, `pending_q` stays `None`
+        // (the steering controller is learner-free), so no update fires.
+        if let Some(learner) = self.pmk.learner_mut() {
+            let r = reward(&active);
+            let next_state = learner.state(supply0_w, ep.offered);
+            if let Some((s_prev, a_prev)) = self.st.pending_q {
+                learner.update(s_prev, a_prev, r, next_state);
+            }
+            self.st.pending_q = ep.q_state.map(|s| (s, fleet.settings[r0]));
         }
+        if self.guard.is_some() {
+            self.supervise(ep, r0, supply0_w, &active);
+        }
+    }
 
+    /// The guardrail: score the shadow fallback on the same planning
+    /// context, feed the detectors, and act on the ladder verdict.
+    /// Demotions and promotions take effect from the next epoch.
+    fn supervise(&mut self, ep: &Epoch, r0: usize, supply0_w: f64, active: &RewardInputs) {
+        let (cfg, profiles, fleet) = (self.cfg, self.profiles, &*self.fleet);
+        let (Some(g), Some(shadow)) = (self.guard.as_mut(), self.shadow_pmk.as_mut()) else {
+            return;
+        };
+        // Shadow decision for the representative server. The fallback
+        // strategies are rng-free by construction (GuardrailConfig
+        // validation rejects Hybrid), so the throwaway rng preserves the
+        // run's main stream byte-for-byte.
+        let shadow_ctx = PmkContext {
+            predicted_load_rps: ep.load_pred,
+            re_share_w: ep.re_believed_w / ep.plan_n as f64,
+            battery_instant_w: fleet.instant_w[r0],
+            battery_sustained_w: if ep.use_instant {
+                fleet.instant_w[r0]
+            } else {
+                fleet.sustained_horizon_w[r0]
+            },
+        };
+        let mut throwaway = SimRng::seed_from_u64(0);
+        let chosen = shadow.choose(profiles, &shadow_ctx, &mut throwaway);
+        let shadow_setting =
+            shadow.apply_hysteresis(profiles, &shadow_ctx, g.shadow_prev(), chosen);
+        g.set_shadow_prev(shadow_setting);
+        let shadow_perf = self.plant.perf(shadow_setting, ep.served_rps);
+        let (app, power_model) = (&self.plant.app, self.power_model);
+        let shadow_power = power_model.power_w(shadow_setting, shadow_perf.utilization);
+        let shadow_inputs = reward_inputs(app, supply0_w, shadow_power, &shadow_perf);
+        let slo_ok = |p: &EpochPerf| {
+            p.slo_percentile_latency_s <= app.slo_deadline_s
+                && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
+        };
+        // Corruption scan on whichever policy is steering; a learner-free
+        // rung has no table to corrupt.
+        let cap = g.config().value_explosion_cap;
+        let pending_q = self.st.pending_q;
+        let table_corrupt = self
+            .fallback_pmk
+            .as_mut()
+            .unwrap_or(&mut self.pmk)
+            .learner_mut()
+            .is_some_and(|l| {
+                let stats = l.table_stats();
+                stats.non_finite > 0
+                    || stats.max_abs > cap
+                    || pending_q.is_some_and(|(s, _)| !s.in_range())
+            });
+        self.st.monitor.record_ladder(ep.t, ep.steering_level);
+        match g.observe(&EpochSignals {
+            epoch_index: ep.k,
+            active_reward: reward(active),
+            shadow_reward: reward(&shadow_inputs),
+            active_slo_ok: slo_ok(&fleet.perfs[r0]),
+            shadow_slo_ok: slo_ok(&shadow_perf),
+            battery_discharge_w: ep.battery_w,
+            planned_battery_w: if ep.use_instant {
+                fleet.instant_w.iter().sum()
+            } else {
+                fleet.sustained_horizon_w.iter().sum()
+            },
+            table_corrupt,
+            live_fraction: ep.live_count as f64 / self.n as f64,
+        }) {
+            GuardrailAction::Demote { reason } => {
+                // Quarantine the learner the demoted rung steered with;
+                // rungs below the top are learner-free.
+                if self.fallback_pmk.is_none() {
+                    if let Some(l) = self.pmk.learner_mut() {
+                        let rec = QuarantineRecord::new(ep.k, &reason, l.to_json());
+                        let detail = match g.config().quarantine_dir.clone() {
+                            Some(dir) => match rec.write_to(&dir) {
+                                Ok(path) => format!(" -> {path}"),
+                                Err(e) => format!(" (sidecar write failed: {e})"),
+                            },
+                            None => String::new(),
+                        };
+                        g.note_quarantine(ep.k, &rec.checksum, &detail);
+                        // The quarantined table never steers again: a
+                        // future re-promotion restarts from the
+                        // deterministic profile bootstrap.
+                        self.pmk = strategy_pmk(cfg, profiles, self.pmk.strategy());
+                        self.st.pending_q = None;
+                    }
+                }
+                self.fallback_pmk = Some(strategy_pmk(cfg, profiles, g.active_strategy()));
+            }
+            GuardrailAction::Promote => {
+                self.fallback_pmk =
+                    (g.level() > 0).then(|| strategy_pmk(cfg, profiles, g.active_strategy()));
+                self.st.pending_q = None;
+            }
+            GuardrailAction::Hold => {}
+        }
+    }
+
+    /// Stage 12: count knob churn, roll the hysteresis incumbents, and
+    /// append the epoch's record.
+    fn record(&mut self, ep: &Epoch, case: SupplyCase) {
+        let (st, fleet, n) = (&mut self.st, &*self.fleet, self.n);
         for i in 0..n {
-            if fleet.settings[i] != fleet.prev_settings[i] {
-                setting_transitions += 1;
+            if fleet.settings[i] != st.prev_settings[i] {
+                st.setting_transitions += 1;
             }
         }
-        let (prev, cur) = (&mut fleet.prev_settings, &fleet.settings);
-        prev.copy_from_slice(cur);
-
-        goodput_sum += goodput / n as f64;
-        offered_sum += offered;
-        epochs.push(EpochRecord {
-            t,
-            setting: rep.map_or_else(ServerSetting::normal, |r| fleet.settings[r]),
-            case: plan.case,
-            re_supply_w: re_actual_w,
-            re_used_w,
-            battery_w,
+        st.prev_settings.copy_from_slice(&fleet.settings);
+        st.goodput_sum += ep.goodput / n as f64;
+        st.offered_sum += ep.offered;
+        st.epochs.push(EpochRecord {
+            t: ep.t,
+            setting: ep
+                .rep
+                .map_or_else(ServerSetting::normal, |r| fleet.settings[r]),
+            case,
+            re_supply_w: ep.re_actual_w,
+            re_used_w: ep.re_used_w,
+            battery_w: ep.battery_w,
             demand_w: fleet.actual_power.iter().sum(),
-            battery_soc: soc,
-            offered_rps: offered,
-            goodput_rps: goodput,
+            battery_soc: ep.soc,
+            offered_rps: ep.offered,
+            goodput_rps: ep.goodput,
             sprinting_servers: fleet.settings.iter().filter(|s| s.is_sprinting()).count() as u8,
-            safe_mode: in_safe_mode,
-            ladder_level: steering_level as u8,
-            live_servers: live_count as u8,
+            safe_mode: ep.obs_w.is_none(),
+            ladder_level: ep.steering_level as u8,
+            live_servers: ep.live_count as u8,
         });
-        let keep_going = hooks.after_epoch(k, epochs.last().expect("just pushed"), &fleet.settings);
-        if !keep_going {
-            // Graceful drain: the driver asked to stop at this boundary.
-            // Capture the would-be-next state exactly as a periodic
-            // snapshot of epoch k+1 would, so a restart resumes with the
-            // next unexecuted epoch and zero warmup.
-            let state = capture_state!(k + 1);
-            hooks.on_snapshot(&state);
-            break;
+    }
+
+    /// The run's outcome (normalized to Normal later, by [`judge`]), its
+    /// Monitor streams, and Hybrid's exported policy.
+    fn finish(self) -> (BurstOutcome, Monitor, Option<String>) {
+        let EpochLoop {
+            mut pmk,
+            guard,
+            auditor,
+            st,
+            epoch_hours,
+            ..
+        } = self;
+        // Post-burst grid recharge back to full (paper case 3: "we charge
+        // the battery with grid power in anticipation of future sprints").
+        let mut grid_recharge_wh = st.in_burst_grid_recharge_wh;
+        for b in st.batteries.iter().flatten() {
+            let missing_ah = (1.0 - b.soc_fraction()) * b.spec().capacity_ah;
+            grid_recharge_wh += missing_ah * b.spec().voltage_v / b.spec().charge_efficiency;
         }
+        // Completed-epoch count, not the window's nominal count: identical
+        // for every run that finishes the window, and the honest divisor
+        // for a drain-stopped serve run.
+        let completed = st.epochs.len().max(1) as u64;
+        let mean_goodput = st.goodput_sum / completed as f64;
+        let guardrail = guard.as_ref().map(Guardrail::state);
+        let outcome = BurstOutcome {
+            mean_goodput_rps: mean_goodput,
+            normal_baseline_rps: mean_goodput, // replaced by `judge`
+            speedup_vs_normal: 1.0,
+            slo_attainment: if st.offered_sum > 0.0 {
+                mean_goodput / (st.offered_sum / completed as f64)
+            } else {
+                1.0
+            },
+            re_used_wh: st.meter.energy_wh(Source::Renewable),
+            re_charged_wh: {
+                // Charged energy is tracked inside the batteries; report
+                // the drawn side of it (what left the green bus).
+                let used = st.meter.energy_wh(Source::Renewable);
+                let avail = used + st.meter.curtailed_wh();
+                // Anything produced, not used and not curtailed went to
+                // charge.
+                let produced: f64 = st.epochs.iter().map(|e| e.re_supply_w * epoch_hours).sum();
+                (produced - avail).max(0.0)
+            },
+            curtailed_wh: st.meter.curtailed_wh(),
+            battery_used_wh: st.meter.energy_wh(Source::Battery),
+            grid_overload_wh: 0.0,
+            grid_recharge_wh,
+            battery_cycles: st
+                .batteries
+                .iter()
+                .flatten()
+                .map(Battery::equivalent_cycles)
+                .sum::<f64>()
+                / st.batteries.iter().flatten().count().max(1) as f64,
+            setting_transitions: st.setting_transitions,
+            thermal_throttle_epochs: st.thermal_throttle_epochs,
+            peak_temp_c: st.peak_temp_c,
+            fault_epochs: st.fault_epochs,
+            safe_mode_epochs: st.safe_mode_epochs,
+            watchdog_clamped_epochs: st.watchdog_clamped_epochs,
+            floor_held: default_floor_held(), // judged against Normal in `judge`
+            audit_violations: auditor.map_or_else(Vec::new, InvariantAuditor::into_violations),
+            failover_epochs: guardrail.map_or(0, |g| g.failover_epochs),
+            ladder_level: guardrail.map_or(0, |g| g.peak_level),
+            quarantined_tables: guardrail.map_or(0, |g| g.quarantined_tables),
+            guardrail_events: guardrail.map_or_else(Vec::new, |g| g.events.clone()),
+            dead_server_epochs: st.dead_server_epochs,
+            straggler_epochs: st.straggler_epochs,
+            min_live_servers: st.min_live_servers,
+            fleet_events: st.fleet_events,
+            epochs: st.epochs,
+        };
+        let policy = pmk.learner_mut().map(|l| l.to_json());
+        (outcome, st.monitor, policy)
     }
-
-    // Post-burst grid recharge back to full (paper case 3: "we charge the
-    // battery with grid power in anticipation of future sprints").
-    let mut grid_recharge_wh = in_burst_grid_recharge_wh;
-    for b in batteries.iter().flatten() {
-        let missing_ah = (1.0 - b.soc_fraction()) * b.spec().capacity_ah;
-        grid_recharge_wh += missing_ah * b.spec().voltage_v / b.spec().charge_efficiency;
-    }
-
-    // Completed-epoch count, not the window's nominal count: identical
-    // (`== n_epochs`) for every run that finishes the window, and the
-    // honest divisor for a drain-stopped serve run.
-    let completed = epochs.len().max(1) as u64;
-    let mean_goodput = goodput_sum / completed as f64;
-    let outcome = BurstOutcome {
-        mean_goodput_rps: mean_goodput,
-        normal_baseline_rps: mean_goodput, // replaced by Engine::run
-        speedup_vs_normal: 1.0,
-        slo_attainment: if offered_sum > 0.0 {
-            mean_goodput / (offered_sum / completed as f64)
-        } else {
-            1.0
-        },
-        re_used_wh: meter.energy_wh(Source::Renewable),
-        re_charged_wh: {
-            // Charged energy is tracked inside the batteries; report the
-            // drawn side of it (what left the green bus).
-            let used = meter.energy_wh(Source::Renewable);
-            let avail = used + meter.curtailed_wh();
-            // Anything produced, not used and not curtailed went to charge.
-            let produced: f64 = epochs.iter().map(|e| e.re_supply_w * epoch_hours).sum();
-            (produced - avail).max(0.0)
-        },
-        curtailed_wh: meter.curtailed_wh(),
-        battery_used_wh: meter.energy_wh(Source::Battery),
-        grid_overload_wh,
-        grid_recharge_wh,
-        battery_cycles: batteries
-            .iter()
-            .flatten()
-            .map(Battery::equivalent_cycles)
-            .sum::<f64>()
-            / batteries.iter().flatten().count().max(1) as f64,
-        setting_transitions,
-        thermal_throttle_epochs,
-        peak_temp_c,
-        fault_epochs,
-        safe_mode_epochs,
-        watchdog_clamped_epochs,
-        floor_held: default_floor_held(), // judged against Normal in run_full
-        audit_violations: auditor.map_or_else(Vec::new, InvariantAuditor::into_violations),
-        failover_epochs: guard.as_ref().map_or(0, |g| g.state().failover_epochs),
-        ladder_level: guard.as_ref().map_or(0, |g| g.state().peak_level),
-        quarantined_tables: guard.as_ref().map_or(0, |g| g.state().quarantined_tables),
-        guardrail_events: guard
-            .as_ref()
-            .map_or_else(Vec::new, |g| g.state().events.clone()),
-        dead_server_epochs,
-        straggler_epochs,
-        min_live_servers,
-        fleet_events,
-        epochs,
-    };
-    let policy = pmk.learner_mut().map(|l| l.to_json());
-    (outcome, monitor, policy)
 }
 
 /// Deterministic analytic measurement of one epoch.
@@ -2964,6 +2982,85 @@ mod tests {
         assert_refused(snap, "prev_settings");
     }
 
+    /// The JSON object member `key` of `v`.
+    fn member<'v>(v: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json::Value {
+        match v {
+            serde_json::Value::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+            }
+            other => panic!("`{key}` looked up in a non-object {other:?}"),
+        }
+    }
+
+    /// `snap` with its state edited as JSON, for state whose fields are
+    /// private to their module.
+    fn edit_state(
+        snap: &EngineSnapshot,
+        edit: impl FnOnce(&mut serde_json::Value),
+    ) -> EngineSnapshot {
+        let mut v = serde_json::to_value(snap).unwrap();
+        edit(member(&mut v, "state"));
+        serde_json::from_value(v).unwrap()
+    }
+
+    #[test]
+    fn resume_refuses_state_that_does_not_fit_its_config() {
+        // A 3-server rack.
+        let snap = hybrid_snapshot();
+        let tampered = |edit: &dyn Fn(&mut LoopState)| {
+            let mut s = snap.clone();
+            edit(&mut s.state);
+            s
+        };
+        assert_refused(tampered(&|st| st.batteries.truncate(2)), "batteries");
+        assert_refused(
+            tampered(&|st| st.grid_recharging.truncate(2)),
+            "grid_recharging",
+        );
+        assert_refused(tampered(&|st| st.down_left.truncate(2)), "down_left");
+        assert_refused(tampered(&|st| st.health_streak.push(0)), "health_streak");
+        assert_refused(
+            tampered(&|st| st.thermals.extend(st.thermals.clone())),
+            "thermals",
+        );
+        assert_refused(tampered(&|st| st.fade_done.push(true)), "fade_done");
+        assert_refused(tampered(&|st| st.min_live_servers = 4), "min_live_servers");
+        assert_refused(tampered(&|st| st.next_epoch = 1_000_000), "next_epoch");
+        let watchdog = edit_state(&snap, |st| {
+            if let serde_json::Value::Array(c) = member(member(st, "watchdog"), "clamped") {
+                c.pop();
+            }
+        });
+        assert_refused(watchdog, "watchdog");
+
+        // No thermal packages at all under a disabled thermal model.
+        let mut snaps = Vec::new();
+        Engine::new(EngineConfig {
+            thermal: ThermalModel::Disabled,
+            ..quick_cfg()
+        })
+        .run_full_with_snapshots(2, &mut |s| snaps.push(s.clone()))
+        .unwrap();
+        let mut cold = snaps.swap_remove(0);
+        assert!(cold.state.thermals.is_empty());
+        cold.state.thermals = snap.state.thermals.clone();
+        assert_refused(cold, "thermals");
+
+        // The guardrail level must index its ladder.
+        let mut snaps = Vec::new();
+        Engine::new(guarded_hybrid_cfg())
+            .run_full_with_snapshots(5, &mut |s| snaps.push(s.clone()))
+            .unwrap();
+        let mut guarded = snaps.swap_remove(0);
+        guarded
+            .state
+            .guardrail
+            .as_mut()
+            .expect("guardrail on")
+            .level = 9;
+        assert_refused(guarded, "guardrail");
+    }
+
     // ---- fault injection ----
 
     use crate::faults::{FaultEvent, FaultKind, FleetMix};
@@ -3634,6 +3731,138 @@ mod tests {
                     assert_eq!(json(&outcome), json(&want_out));
                     assert_eq!(json(&monitor), json(&want_mon));
                     assert_eq!(policy, want_pol);
+                }
+                other => panic!("expected a burst, got {other:?}"),
+            }
+        }
+    }
+
+    /// A 10-server analytic Hybrid burst under the guardrail and the
+    /// no-PCM package, long enough to throttle, whose fault plan reaches
+    /// every part of the loop's state.
+    fn every_field_cfg() -> EngineConfig {
+        let at = |mins: u64, span_mins: u64, kind: FaultKind| FaultEvent {
+            at: SimTime::from_hours(11) + SimDuration::from_mins(mins),
+            duration: SimDuration::from_mins(span_mins),
+            kind,
+        };
+        EngineConfig {
+            green: GreenConfig {
+                name: "RE-Batt-10".into(),
+                green_servers: 10,
+                panels: 10,
+                battery_ah: 10.0,
+            },
+            thermal: ThermalModel::NoPcm,
+            burst_duration: SimDuration::from_mins(30),
+            fault_plan: Some(FaultPlan::new(vec![
+                at(2, 1, FaultKind::BatteryFade { factor: 0.25 }),
+                at(4, 2, FaultKind::ReSensorDropout),
+                at(7, 2, FaultKind::TelemetryDelay),
+                at(10, 1, FaultKind::QTablePoison { magnitude: 1e9 }),
+                at(
+                    12,
+                    1,
+                    FaultKind::ServerCrash {
+                        server: 3,
+                        down_epochs: 2,
+                    },
+                ),
+                at(16, 4, FaultKind::ServerFlap { server: 5 }),
+                at(
+                    0,
+                    30,
+                    FaultKind::ServerStraggler {
+                        server: 7,
+                        goodput_factor: 0.6,
+                    },
+                ),
+                at(20, 5, FaultKind::CoreActivationFail { max_cores: 8 }),
+            ])),
+            ..guarded_hybrid_cfg()
+        }
+    }
+
+    /// What the loop would capture before its first epoch.
+    fn fresh_capture(cfg: &EngineConfig) -> LoopState {
+        let app = cfg.app.profile();
+        let trace = cfg.availability.trace(cfg.seed);
+        let start = SimTime::from_secs_f64(cfg.burst_start_hour * 3_600.0);
+        let end = start + cfg.burst_duration;
+        let burst = BurstPattern::intensity(&app, cfg.burst_intensity_cores, start, end);
+        let window = RunWindow {
+            offered_rps: &|t| burst.offered_rps(t),
+            trace: &trace,
+            start,
+            duration: cfg.burst_duration,
+        };
+        let mut scratch = EngineScratch::new();
+        let profiles = ProfileTable::cached(cfg.app);
+        EpochLoop::new(cfg, cfg.strategy, profiles, &window, &mut scratch).capture()
+    }
+
+    #[test]
+    fn resume_from_every_boundary_of_a_run_that_changes_every_field() {
+        let cfg = every_field_cfg();
+        let (want_out, want_mon, want_pol) = Engine::new(cfg.clone()).run_full();
+        assert!(
+            want_out.thermal_throttle_epochs > 0,
+            "the burst must throttle"
+        );
+        assert!(
+            want_out.quarantined_tables > 0,
+            "the poison must quarantine"
+        );
+        let mut snaps = Vec::new();
+        Engine::new(cfg.clone())
+            .run_full_with_snapshots(1, &mut |s| snaps.push(s.clone()))
+            .unwrap();
+
+        // Every field moves off its fresh value in some capture, so a
+        // field that resume dropped would show up below.
+        let serde_json::Value::Object(fresh) = serde_json::to_value(&fresh_capture(&cfg)).unwrap()
+        else {
+            panic!("a state serializes to an object");
+        };
+        let mut captures: Vec<serde_json::Value> = snaps
+            .iter()
+            .filter(|s| s.phase == RunPhase::Strategy)
+            .map(|s| serde_json::to_value(&s.state).unwrap())
+            .collect();
+        assert_eq!(captures.len() as u64, want_out.epochs.len() as u64 - 1);
+        // The fields that cannot move in this run, and why.
+        let unmoved = [
+            // Hybrid at the paper's ε = 0 draws no decision randomness,
+            // and analytic measurement none either: the stream stays
+            // where the per-server forks left it.
+            "rng",
+            // A burst keeps sprint-worthy demand pending in every epoch,
+            // which defers grid recharge to after the burst.
+            "in_burst_grid_recharge_wh",
+            // A healthy run records no invariant violations.
+            "audit_violations",
+        ];
+        for (name, fresh_value) in &fresh {
+            let moved = captures.iter_mut().any(|c| member(c, name) != fresh_value);
+            let excused = unmoved.contains(&name.as_str());
+            assert!(
+                moved != excused,
+                "`{name}`: moved {moved}, excused {excused}"
+            );
+        }
+
+        for snap in snaps {
+            let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
+            let k = snap.state.next_epoch;
+            match resume_snapshot(snap, 0, &mut |_| {}).unwrap() {
+                ResumedRun::Burst {
+                    outcome,
+                    monitor,
+                    policy,
+                } => {
+                    assert_eq!(json(&outcome), json(&want_out), "resumed at {k}");
+                    assert_eq!(json(&monitor), json(&want_mon), "resumed at {k}");
+                    assert_eq!(policy, want_pol, "resumed at {k}");
                 }
                 other => panic!("expected a burst, got {other:?}"),
             }

@@ -4,10 +4,10 @@
 //! quantities every epoch. Before this module existed each of them was a
 //! fresh `Vec` per epoch (or per decision): at 1000 servers × thousands of
 //! epochs the allocator dominated the profile. `FleetState` holds them
-//! all as parallel arrays — settings, liveness, crash countdowns, health
-//! streaks, battery budgets, power draws — sized once per run and
-//! overwritten in place each epoch, plus the per-epoch memo tables the
-//! hot loop uses to avoid recomputing pure functions.
+//! all as parallel arrays — settings, liveness, battery budgets, power
+//! draws — sized once per run and overwritten in place each epoch, plus
+//! the per-epoch memo tables the hot loop uses to avoid recomputing pure
+//! functions.
 //!
 //! [`EngineScratch`] wraps the fleet arrays together with the run-scoped
 //! analytic-measurement cache into the arena a caller can thread through
@@ -18,11 +18,10 @@
 //! (byte-identical outcomes, snapshot/resume, jobs-invariance) is pinned
 //! by `tests/golden_outputs.rs`.
 //!
-//! None of this is serialized. Persistent loop state (batteries,
-//! predictors, the learner, …) still lives in
-//! [`crate::checkpoint::LoopState`]; the arrays here that *are* part of a
-//! snapshot (`prev_settings`, `down_left`, `health_streak`) are copied
-//! in/out of it at the capture/resume boundary.
+//! None of this is serialized, and none of it outlives an epoch: it is
+//! per-epoch scratch only. Everything the loop carries from one epoch to
+//! the next — the per-server hysteresis incumbents, crash countdowns and
+//! health streaks included — lives in [`crate::checkpoint::LoopState`].
 
 use gs_cluster::ServerSetting;
 use gs_workload::metrics::EpochPerf;
@@ -41,13 +40,6 @@ pub(crate) type DecisionKey = (u64, u64, u64, ServerSetting);
 /// overwritten in place every epoch.
 #[derive(Debug, Default)]
 pub(crate) struct FleetState {
-    // --- persistent across epochs (snapshot-carried) -------------------
-    /// Hysteresis incumbent per server (last epoch's applied setting).
-    pub prev_settings: Vec<ServerSetting>,
-    /// Crash countdown per server (epochs of outage left).
-    pub down_left: Vec<u32>,
-    /// Consecutive healthy epochs per server (rejoin probation).
-    pub health_streak: Vec<u32>,
     // --- rewritten every epoch -----------------------------------------
     /// Responding at all this epoch (not crashed/flapped down).
     pub up: Vec<bool>,
@@ -104,9 +96,6 @@ impl FleetState {
             v.clear();
             v.resize(n, fill);
         }
-        fit(&mut self.prev_settings, n, ServerSetting::normal());
-        fit(&mut self.down_left, n, 0);
-        fit(&mut self.health_streak, n, 0);
         fit(&mut self.up, n, true);
         fit(&mut self.live, n, true);
         fit(&mut self.settings, n, ServerSetting::normal());
@@ -148,11 +137,14 @@ impl FleetState {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     pub(crate) fleet: FleetState,
-    /// Run-scoped memo of analytic epoch measurements, keyed by
-    /// `(setting, offered_rps.to_bits())`. Pure: cleared at run start
-    /// because profiles and app differ between runs.
-    pub(crate) analytic_cache: HashMap<(ServerSetting, u64), EpochPerf, FxBuildHasher>,
+    /// Pure, but cleared at run start because profiles and app differ
+    /// between runs.
+    pub(crate) analytic_cache: AnalyticCache,
 }
+
+/// Run-scoped memo of analytic epoch measurements, keyed by
+/// `(setting, served_rps.to_bits())`.
+pub(crate) type AnalyticCache = HashMap<(ServerSetting, u64), EpochPerf, FxBuildHasher>;
 
 impl EngineScratch {
     /// A fresh, empty arena.
@@ -295,7 +287,7 @@ mod tests {
     fn begin_run_sizes_every_array() {
         let mut s = EngineScratch::new();
         s.begin_run(7);
-        assert_eq!(s.fleet.prev_settings.len(), 7);
+        assert_eq!(s.fleet.settings.len(), 7);
         assert_eq!(s.fleet.perfs.len(), 7);
         assert_eq!(s.fleet.instant_w.len(), 7);
         s.fleet.sprinting.push(3);
@@ -307,7 +299,7 @@ mod tests {
             .insert((ServerSetting::normal(), 0), EpochPerf::default());
         // A new run clears per-epoch lists and every cross-run cache.
         s.begin_run(3);
-        assert_eq!(s.fleet.prev_settings.len(), 3);
+        assert_eq!(s.fleet.settings.len(), 3);
         assert!(s.fleet.sprinting.is_empty());
         assert!(s.fleet.decision_memo.is_empty());
         assert!(s.analytic_cache.is_empty());

@@ -330,6 +330,16 @@ impl ActuationWatchdog {
     pub fn clamped_count(&self) -> usize {
         self.clamped.iter().filter(|&&c| c).count()
     }
+
+    /// True when every per-server vector covers exactly `n` servers (a
+    /// deserialized watchdog may not).
+    pub(crate) fn tracks(&self, n: usize) -> bool {
+        [
+            self.mismatch_streak.len(),
+            self.match_streak.len(),
+            self.clamped.len(),
+        ] == [n; 3]
+    }
 }
 
 #[cfg(test)]

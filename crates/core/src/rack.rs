@@ -298,8 +298,8 @@ impl EpochHooks for WorkerHooks {
         !self.last
     }
 
-    fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self.msg_tx.send(RackMsg::Snapshot(Box::new(state.clone())));
+    fn on_snapshot(&mut self, state: LoopState) {
+        let _ = self.msg_tx.send(RackMsg::Snapshot(Box::new(state)));
     }
 }
 
@@ -351,7 +351,6 @@ impl RackWorker {
                     profiles,
                     resume,
                     snapshot_every,
-                    &mut |_| {},
                     &mut scratch,
                     &mut hooks,
                 )
@@ -458,7 +457,6 @@ pub(crate) fn judge_racks(
                         ProfileTable::cached(cfg.app),
                         None,
                         0,
-                        &mut |_| {},
                         &mut EngineScratch::new(),
                         &mut ReplayHooks { rows, rack },
                     );

@@ -1141,7 +1141,7 @@ impl EpochHooks for ServeDriver {
         true
     }
 
-    fn on_snapshot(&mut self, state: &LoopState) {
+    fn on_snapshot(&mut self, state: LoopState) {
         // Flush-before-snapshot: every epoch the snapshot believes
         // executed must already be durable in the metrics file, or a
         // crash right after this write would leave a gap no resume can
@@ -1157,7 +1157,7 @@ impl EpochHooks for ServeDriver {
             fingerprint: self.cfg_fingerprint.clone(),
             cfg: self.cfg.clone(),
             options: self.opts.clone(),
-            state: Some(state.clone()),
+            state: Some(state),
             racks: Vec::new(),
             dc: None,
             serve: self.side.clone(),
@@ -1882,10 +1882,9 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
             }
         }
         side = snap.serve;
-        let servers = args.cfg.green.green_servers;
         for state in resume_state.iter().chain(resume_racks.iter().flatten()) {
             state
-                .check_restorable(servers)
+                .check_restorable(&args.cfg)
                 .map_err(|e| ServeError::Snapshot(e.to_string()))?;
         }
     }
@@ -2046,7 +2045,6 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         profiles,
         resume_state,
         args.options.snapshot_every,
-        &mut |_| {},
         &mut scratch,
         &mut driver,
     );
@@ -2248,9 +2246,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn resume_refuses_a_tampered_engine_state() {
-        let dir = std::env::temp_dir().join("gs_serve_tamper_test");
+    /// Drain a one-epoch serve into a v1 snapshot, apply `edit` to its
+    /// engine state, and resume from it; `Err` carries the refusal.
+    fn resume_tampered(name: &str, edit: impl FnOnce(&mut LoopState)) -> Result<(), String> {
+        let dir = std::env::temp_dir().join(name);
         let _ = fs::create_dir_all(&dir);
         let snap_path = dir.join("snap.json");
         let args = ServeArgs {
@@ -2261,17 +2260,31 @@ mod tests {
         serve(args).expect("drain serve runs");
         let mut snap: ServeSnapshot =
             serde_json::from_str(&fs::read_to_string(&snap_path).unwrap()).unwrap();
-        snap.state.as_mut().expect("v1 state").prev_settings.clear();
+        edit(snap.state.as_mut().expect("v1 state"));
         fs::write(&snap_path, serde_json::to_string(&snap).unwrap()).unwrap();
         let resumed = serve(ServeArgs {
             resume_path: Some(snap_path),
             ..ServeArgs::default()
         });
+        let _ = fs::remove_dir_all(&dir);
         match resumed {
-            Err(ServeError::Snapshot(m)) => assert!(m.contains("`prev_settings`"), "{m}"),
+            Err(ServeError::Snapshot(m)) => Err(m),
             other => panic!("expected a snapshot error, got {other:?}"),
         }
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_a_tampered_engine_state() {
+        let m = resume_tampered("gs_serve_tamper_test", |st| st.prev_settings.clear());
+        assert!(m.as_ref().unwrap_err().contains("`prev_settings`"), "{m:?}");
+    }
+
+    #[test]
+    fn resume_refuses_a_short_battery_vector() {
+        let m = resume_tampered("gs_serve_tamper_batteries", |st| {
+            st.batteries.pop();
+        });
+        assert!(m.as_ref().unwrap_err().contains("`batteries`"), "{m:?}");
     }
 
     #[test]
