@@ -46,7 +46,7 @@
 //! state plus every rack's [`LoopState`] at the same epoch boundary, so a
 //! run killed mid-partition resumes to a byte-identical outcome.
 
-use crate::checkpoint::{fingerprint, LoopState, DC_CHECKPOINT_SCHEMA};
+use crate::checkpoint::{decode, encode, LoopState, SnapshotError, SnapshotPayload};
 use crate::datacenter::{DatacenterConfig, DatacenterOutcome};
 use crate::engine::{BurstOutcome, EngineConfig, MeasurementMode, REJOIN_EPOCHS};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -166,9 +166,6 @@ impl BrokerState {
 /// boundary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DatacenterSnapshot {
-    /// [`datacenter_fingerprint`] of the embedded configuration at
-    /// capture time; resume recomputes and compares.
-    pub fingerprint: String,
     /// The full datacenter configuration, embedded so resume is
     /// self-contained.
     pub cfg: DatacenterConfig,
@@ -178,29 +175,24 @@ pub struct DatacenterSnapshot {
     pub racks: Vec<LoopState>,
 }
 
-impl DatacenterSnapshot {
-    /// Serialize to JSON. Serialization of a plain data snapshot only
-    /// fails on allocator-level trouble; the error is surfaced (not
-    /// panicked) so a checkpoint writer can log and continue the run.
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| format!("datacenter snapshot serialize: {e}"))
-    }
-
-    /// Parse a snapshot from JSON.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+impl SnapshotPayload for DatacenterSnapshot {
+    const SCHEMA: &'static str = "gs-datacenter-2";
+    type Config = DatacenterConfig;
+    fn config(&self) -> &DatacenterConfig {
+        &self.cfg
     }
 }
 
-/// The compatibility fingerprint a datacenter checkpoint is stamped with:
-/// schema tag, crate version, and the configuration JSON. A resume across
-/// a code or config change fails fast instead of continuing a run whose
-/// physics changed underneath it.
-pub fn datacenter_fingerprint(cfg: &DatacenterConfig) -> String {
-    // A config that cannot serialize fingerprints as "" on both the
-    // write and the resume side, so the comparison still behaves.
-    let json = serde_json::to_string(cfg).unwrap_or_default();
-    fingerprint(&[DC_CHECKPOINT_SCHEMA, env!("CARGO_PKG_VERSION"), &json])
+impl DatacenterSnapshot {
+    /// Encode as a snapshot file's text ([`encode`]); never fails.
+    pub fn to_json(&self) -> Result<String, String> {
+        Ok(encode(self))
+    }
+
+    /// Decode a snapshot file's text ([`decode`]).
+    pub fn from_json(json: &str) -> Result<Self, SnapshotError> {
+        decode(json)
+    }
 }
 
 /// The engine configuration rack `i` of `cfg` runs: the rack's
@@ -431,14 +423,6 @@ pub fn resume_datacenter_snapshot(
     snapshot_every: u64,
     sink: &mut dyn FnMut(&DatacenterSnapshot),
 ) -> Result<DatacenterOutcome, String> {
-    let expected = datacenter_fingerprint(&snap.cfg);
-    if snap.fingerprint != expected {
-        return Err(format!(
-            "checkpoint fingerprint {} does not match this build/config ({expected}); \
-             the code or configuration changed since the checkpoint was written",
-            snap.fingerprint
-        ));
-    }
     let cfg = snap.cfg.clone();
     cfg.validate()?;
     if snap.racks.len() != cfg.racks.len() || snap.broker.pinned.len() != cfg.racks.len() {
@@ -483,7 +467,6 @@ fn run_stepped(
     let rack_cfgs: Vec<EngineConfig> = (0..n).map(|i| rack_engine_config(cfg, i)).collect();
     let empty_site = FaultPlan::default();
     let site = cfg.site_fault_plan.as_ref().unwrap_or(&empty_site);
-    let fp = datacenter_fingerprint(cfg);
 
     let (mut st, rack_resume) = match resume {
         Some((broker, racks)) => (broker, Some(racks)),
@@ -536,7 +519,6 @@ fn run_stepped(
                     .map(|w| w.recv_capture(k))
                     .collect::<Result<_, _>>()?;
                 sink(&DatacenterSnapshot {
-                    fingerprint: fp.clone(),
                     cfg: cfg.clone(),
                     broker: st.clone(),
                     racks,
@@ -1010,10 +992,18 @@ mod tests {
         let cfg = fleet(2);
         let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
         run_datacenter_with_snapshots(&cfg, 2, 3, &mut |s| snaps.push(s.clone())).unwrap();
+        let original: serde_json::Value =
+            serde_json::from_str(&snaps[0].to_json().unwrap()).unwrap();
+        let stamped = original
+            .get("fingerprint")
+            .and_then(|v| v.as_str())
+            .unwrap();
+        // An edited configuration under the original's fingerprint.
         let mut snap = snaps[0].clone();
         snap.cfg.template.seed ^= 1;
-        let err = resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).unwrap_err();
-        assert!(err.contains("fingerprint"), "{err}");
+        let text = crate::checkpoint::with_fingerprint(&snap.to_json().unwrap(), stamped);
+        let err = DatacenterSnapshot::from_json(&text).unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
     }
 
     #[test]

@@ -179,12 +179,6 @@ fn assemble_outcome(
     }
 }
 
-/// The checkpoint fingerprint of a campaign configuration.
-fn campaign_fingerprint(cfg: &CampaignConfig) -> String {
-    let json = serde_json::to_string(cfg).expect("config serializes");
-    crate::checkpoint::config_fingerprint(&json)
-}
-
 /// As [`try_run_campaign`], emitting a resumable [`EngineSnapshot`] at
 /// every `every_epochs`-th epoch boundary (0 = never) of both the
 /// strategy and the Normal-baseline run. Requires analytic measurement
@@ -194,19 +188,18 @@ pub fn try_run_campaign_with_snapshots(
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
-    run_campaign_snapshotted(cfg, &campaign_fingerprint(cfg), None, every_epochs, sink)
+    run_campaign_snapshotted(cfg, None, every_epochs, sink)
 }
 
 /// Resume a campaign from a mid-run snapshot; called through
-/// [`crate::engine::resume_snapshot`] after the fingerprint check.
+/// [`crate::engine::resume_snapshot`].
 pub(crate) fn resume_campaign_snapshot(
     cfg: &CampaignConfig,
     snap: EngineSnapshot,
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
-    let fp = snap.fingerprint.clone();
-    run_campaign_snapshotted(cfg, &fp, Some(snap), every_epochs, sink)
+    run_campaign_snapshotted(cfg, Some(snap), every_epochs, sink)
 }
 
 /// Run a campaign with snapshotting, or resume one from `resume`: the
@@ -215,7 +208,6 @@ pub(crate) fn resume_campaign_snapshot(
 /// everything.
 fn run_campaign_snapshotted(
     cfg: &CampaignConfig,
-    fp: &str,
     resume: Option<EngineSnapshot>,
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
@@ -228,7 +220,6 @@ fn run_campaign_snapshotted(
     let mut scratch = EngineScratch::new();
     let mut snapshot = |phase, main_carry, state| {
         sink(&EngineSnapshot {
-            fingerprint: fp.to_string(),
             scope: SnapshotScope::Campaign(cfg.clone()),
             phase,
             main_carry,

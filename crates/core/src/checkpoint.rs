@@ -1,5 +1,5 @@
 //! Crash-safe checkpointing: a write-ahead journal for sweep results and
-//! serializable mid-run engine snapshots.
+//! serializable mid-run snapshots.
 //!
 //! Two durability mechanisms, for the two shapes of long work:
 //!
@@ -15,11 +15,16 @@
 //! * **Snapshot** — the full serializable controller state of a running
 //!   engine window ([`LoopState`]: Monitor history, predictor EWMAs,
 //!   Q-table, battery state, fault cursor, RNG stream position, meters),
-//!   wrapped with enough context ([`EngineSnapshot`]) to resume the run
-//!   and finish with output byte-identical to the uninterrupted run.
+//!   wrapped with enough context to resume the run and finish with output
+//!   byte-identical to the uninterrupted run. Every kind of snapshot file
+//!   is one envelope `{"schema", "fingerprint", "payload"}`: [`encode`]
+//!   writes it, [`decode`] is the one reader, and [`write_atomic`] the
+//!   one durable writer. The payload is an [`EngineSnapshot`] (burst or
+//!   campaign), a [`crate::broker::DatacenterSnapshot`] or a
+//!   [`crate::serve::ServeSnapshot`].
 //!
-//! Snapshots embed a [`fingerprint`] of the crate version, a schema tag,
-//! and the originating configuration; resume refuses a snapshot whose
+//! A snapshot's fingerprint covers its schema tag, the crate version and
+//! its embedded configuration; [`decode`] refuses a file whose tag or
 //! fingerprint no longer matches, instead of silently continuing a run
 //! whose physics changed underneath it.
 
@@ -35,20 +40,16 @@ use gs_power::battery::Battery;
 use gs_power::meter::PowerMeter;
 use gs_power::pss::SafeSupplyEstimator;
 use gs_sim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bump when the serialized shape of [`LoopState`] / [`JournalHeader`]
-/// changes incompatibly; old checkpoints then fail the fingerprint check
-/// instead of deserializing into nonsense.
-pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-1";
-
-/// As [`CHECKPOINT_SCHEMA`], for datacenter (broker + per-rack) snapshots
-/// — bumped when [`crate::broker::BrokerState`] or [`LoopState`] changes
-/// incompatibly.
-pub const DC_CHECKPOINT_SCHEMA: &str = "gs-dc-ckpt-1";
+/// Salt of the journal header's fingerprint. It predates the snapshot
+/// envelope and stays, so journals written before the envelope still
+/// resume.
+const JOURNAL_SALT: &str = "gs-ckpt-1";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {
@@ -65,11 +66,11 @@ pub fn fingerprint(parts: &[&str]) -> String {
     format!("{h:016x}")
 }
 
-/// The compatibility fingerprint a checkpoint is stamped with: schema tag,
-/// crate version, and the JSON of the configuration that produced it. A
-/// resume across a code or config change fails fast.
-pub fn config_fingerprint(cfg_json: &str) -> String {
-    fingerprint(&[CHECKPOINT_SCHEMA, env!("CARGO_PKG_VERSION"), cfg_json])
+/// The compatibility fingerprint a journal header is stamped with: the
+/// journal salt, crate version, and the JSON of its point list. A resume
+/// across a code or config change fails fast.
+pub fn journal_fingerprint(points_json: &str) -> String {
+    fingerprint(&[JOURNAL_SALT, env!("CARGO_PKG_VERSION"), points_json])
 }
 
 /// Digest of a sweep's point list, stored in the journal header so resume
@@ -77,6 +78,152 @@ pub fn config_fingerprint(cfg_json: &str) -> String {
 pub fn points_digest(points: &[SweepPoint]) -> String {
     let json = serde_json::to_string(&points).expect("sweep points serialize");
     fingerprint(&[&json])
+}
+
+// ---------------------------------------------------------------------------
+// The snapshot envelope
+// ---------------------------------------------------------------------------
+
+/// The payload of a snapshot envelope: the state one kind of resumable
+/// run writes. It names its schema tag and the configuration its
+/// fingerprint covers; [`encode`] and [`decode`] do the rest.
+pub trait SnapshotPayload: Serialize + Deserialize {
+    /// The envelope's schema tag. Change it whenever the payload's
+    /// serialized shape changes incompatibly.
+    const SCHEMA: &'static str;
+    /// The configuration the fingerprint covers.
+    type Config: Serialize;
+    /// This payload's embedded configuration.
+    fn config(&self) -> &Self::Config;
+}
+
+/// Why a snapshot file was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// Not JSON, not an envelope, or a payload that does not parse.
+    Malformed(String),
+    /// The envelope's schema tag is not the one the reader expects.
+    Schema {
+        /// The tag the file carries (`None`: no tag, as in a file from
+        /// before the envelope).
+        found: Option<String>,
+        /// The tag this reader decodes.
+        expected: &'static str,
+    },
+    /// The fingerprint does not match this build and the embedded
+    /// configuration.
+    Fingerprint {
+        /// The fingerprint the file carries.
+        found: String,
+        /// The fingerprint this build computes for its configuration.
+        expected: String,
+    },
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Malformed(m) => write!(f, "malformed snapshot: {m}"),
+            SnapshotError::Schema {
+                found: Some(found),
+                expected,
+            } => write!(
+                f,
+                "snapshot schema {found:?} is not {expected:?}, the only one this build reads"
+            ),
+            SnapshotError::Schema {
+                found: None,
+                expected,
+            } => write!(
+                f,
+                "snapshot has no schema tag (a file from before the snapshot envelope); \
+                 this build reads only {expected:?}"
+            ),
+            SnapshotError::Fingerprint { found, expected } => write!(
+                f,
+                "snapshot fingerprint {found} does not match this build/config ({expected}); \
+                 the code or configuration changed since the snapshot was written"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+/// The fingerprint of `payload`'s envelope: schema tag, crate version
+/// and configuration JSON.
+fn snapshot_fingerprint<P: SnapshotPayload>(payload: &P) -> String {
+    // A configuration that cannot serialize fingerprints as "" on both
+    // the write and the read side, so the comparison still behaves.
+    let config = serde_json::to_string(payload.config()).unwrap_or_default();
+    fingerprint(&[P::SCHEMA, env!("CARGO_PKG_VERSION"), &config])
+}
+
+/// Encode `payload` as the text of a snapshot file.
+pub fn encode<P: SnapshotPayload>(payload: &P) -> String {
+    let envelope = Value::Object(vec![
+        ("schema".to_string(), Value::String(P::SCHEMA.to_string())),
+        (
+            "fingerprint".to_string(),
+            Value::String(snapshot_fingerprint(payload)),
+        ),
+        ("payload".to_string(), payload.to_value()),
+    ]);
+    serde_json::to_string(&envelope).expect("a JSON value tree renders")
+}
+
+/// Decode the text of a snapshot file: the one place that checks an
+/// envelope's schema tag and fingerprint.
+pub fn decode<P: SnapshotPayload>(text: &str) -> Result<P, SnapshotError> {
+    let malformed = |m: &str| SnapshotError::Malformed(m.to_string());
+    let envelope: Value = serde_json::from_str(text).map_err(|e| malformed(&e.to_string()))?;
+    let found = envelope.get("schema").and_then(Value::as_str);
+    if found != Some(P::SCHEMA) {
+        return Err(SnapshotError::Schema {
+            found: found.map(str::to_string),
+            expected: P::SCHEMA,
+        });
+    }
+    let stamped = envelope
+        .get("fingerprint")
+        .and_then(Value::as_str)
+        .ok_or_else(|| malformed("missing envelope field `fingerprint`"))?;
+    let payload = envelope
+        .get("payload")
+        .ok_or_else(|| malformed("missing envelope field `payload`"))?;
+    let payload = P::from_value(payload).map_err(|e| malformed(&e.to_string()))?;
+    let expected = snapshot_fingerprint(&payload);
+    if stamped != expected {
+        return Err(SnapshotError::Fingerprint {
+            found: stamped.to_string(),
+            expected,
+        });
+    }
+    Ok(payload)
+}
+
+/// Durable atomic file replace: write a sibling temp file, fsync it,
+/// rename it over `path`, fsync the directory. The temp name carries the
+/// pid and a per-process sequence number, so two writers pointed at the
+/// same path — processes or threads — never interleave halves of each
+/// other's writes; a reader sees the old file or the new one, whole.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(contents.as_bytes())?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    // The rename survives a crash only once its directory entry does.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -286,9 +433,6 @@ pub enum SnapshotScope {
 /// A resumable mid-run checkpoint of a burst or campaign experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
-    /// [`config_fingerprint`] of the embedded configuration at capture
-    /// time; resume recomputes and compares.
-    pub fingerprint: String,
     /// The experiment this snapshot belongs to.
     pub scope: SnapshotScope,
     /// Which run inside the experiment was in flight.
@@ -299,26 +443,23 @@ pub struct EngineSnapshot {
     pub state: LoopState,
 }
 
+impl SnapshotPayload for EngineSnapshot {
+    const SCHEMA: &'static str = "gs-engine-2";
+    type Config = SnapshotScope;
+    fn config(&self) -> &SnapshotScope {
+        &self.scope
+    }
+}
+
 impl EngineSnapshot {
-    /// Serialize to JSON.
+    /// Encode as a snapshot file's text ([`encode`]).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot serializes")
+        encode(self)
     }
 
-    /// Parse a snapshot from JSON.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-
-    /// The fingerprint the embedded configuration produces *now* — equal
-    /// to `self.fingerprint` iff code and config still match.
-    pub fn expected_fingerprint(&self) -> String {
-        let cfg_json = match &self.scope {
-            SnapshotScope::Burst(cfg) => serde_json::to_string(cfg),
-            SnapshotScope::Campaign(cfg) => serde_json::to_string(cfg),
-        }
-        .expect("config serializes");
-        config_fingerprint(&cfg_json)
+    /// Decode a snapshot file's text ([`decode`]).
+    pub fn from_json(json: &str) -> Result<Self, SnapshotError> {
+        decode(json)
     }
 }
 
@@ -331,8 +472,8 @@ impl EngineSnapshot {
 pub struct JournalHeader {
     /// File-format tag.
     pub magic: String,
-    /// Compatibility fingerprint ([`config_fingerprint`] of the serialized
-    /// point list).
+    /// Compatibility fingerprint ([`journal_fingerprint`] of the
+    /// serialized point list).
     pub fingerprint: String,
     /// `"sweep"` or `"chaos"` — which CLI mode wrote it.
     pub mode: String,
@@ -353,7 +494,7 @@ impl JournalHeader {
         let points_json = serde_json::to_string(&points).expect("sweep points serialize");
         JournalHeader {
             magic: JOURNAL_MAGIC.to_string(),
-            fingerprint: config_fingerprint(&points_json),
+            fingerprint: journal_fingerprint(&points_json),
             mode: mode.to_string(),
             master_seed,
             points_digest: points_digest(&points),
@@ -400,6 +541,13 @@ impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {
         JournalError::Io(e)
     }
+}
+
+/// Parse one journal line. Invalid UTF-8 fails like malformed JSON, so
+/// a flipped byte is corruption rather than a replacement character.
+fn parse_line<T: Deserialize>(line: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("invalid UTF-8: {e}"))?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
 /// A journal parsed back from disk.
@@ -450,23 +598,27 @@ impl Journal {
     pub fn load(path: &Path) -> Result<LoadedJournal, JournalError> {
         let mut raw = Vec::new();
         File::open(path)?.read_to_end(&mut raw)?;
-        let text = String::from_utf8_lossy(&raw);
 
         let mut results = Vec::new();
         let mut header: Option<JournalHeader> = None;
         let mut valid_len = 0u64;
         let mut dropped_tail = false;
 
-        // Walk newline-terminated segments; a final segment without its
-        // newline is by definition the interrupted tail.
+        // Walk newline-terminated segments of the raw bytes, so offsets
+        // are file offsets; a final segment without its newline is by
+        // definition the interrupted tail.
         let mut offset = 0usize;
         let mut line_no = 0usize;
-        let mut segments = text.split_inclusive('\n').peekable();
+        let mut segments = raw.split_inclusive(|&b| b == b'\n').peekable();
         while let Some(seg) = segments.next() {
             line_no += 1;
             let is_last = segments.peek().is_none();
-            let complete = seg.ends_with('\n');
-            let body = seg.trim_end_matches(['\n', '\r']);
+            let complete = seg.ends_with(b"\n");
+            let body_len = seg
+                .iter()
+                .rposition(|b| !matches!(b, b'\n' | b'\r'))
+                .map_or(0, |i| i + 1);
+            let body = &seg[..body_len];
             if body.is_empty() {
                 offset += seg.len();
                 if complete {
@@ -475,8 +627,7 @@ impl Journal {
                 continue;
             }
             if line_no == 1 {
-                let h: JournalHeader = serde_json::from_str(body)
-                    .map_err(|e| JournalError::NotAJournal(e.to_string()))?;
+                let h: JournalHeader = parse_line(body).map_err(JournalError::NotAJournal)?;
                 if h.magic != JOURNAL_MAGIC {
                     return Err(JournalError::NotAJournal(format!(
                         "unexpected magic {:?}",
@@ -493,29 +644,24 @@ impl Journal {
                 valid_len = offset as u64;
                 continue;
             }
-            match serde_json::from_str::<SweepResult>(body) {
+            match parse_line::<SweepResult>(body) {
                 Ok(r) if complete => {
                     results.push(r);
                     offset += seg.len();
                     valid_len = offset as u64;
                 }
-                Ok(_) => {
-                    // Parsed, but the newline never landed — the append
-                    // was cut between its two writes. Appending after it
-                    // would corrupt the line, so drop and re-run it.
-                    dropped_tail = true;
-                }
-                Err(e) if is_last => {
-                    // The crash artifact the journal is designed for.
-                    dropped_tail = true;
-                    let _ = e;
-                }
-                Err(e) => {
+                Err(message) if !is_last => {
                     return Err(JournalError::Corrupt {
                         line: line_no,
-                        message: e.to_string(),
+                        message,
                     });
                 }
+                // Either parsed but the newline never landed (the append
+                // was cut between its two writes; appending after it
+                // would corrupt the line, so drop and re-run it), or an
+                // unparseable final line torn mid-record or mid-character:
+                // the crash artifact the journal is designed for.
+                _ => dropped_tail = true,
             }
         }
 
@@ -560,6 +706,20 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// `text`, a snapshot envelope, re-stamped with `fingerprint`.
+#[cfg(test)]
+pub(crate) fn with_fingerprint(text: &str, fingerprint: &str) -> String {
+    let Ok(Value::Object(mut fields)) = serde_json::from_str::<Value>(text) else {
+        panic!("not a snapshot envelope");
+    };
+    for (key, value) in &mut fields {
+        if key == "fingerprint" {
+            *value = Value::String(fingerprint.to_string());
+        }
+    }
+    serde_json::to_string(&Value::Object(fields)).unwrap()
 }
 
 #[cfg(test)]
@@ -683,6 +843,65 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Write a two-record journal for `pts` and return its bytes.
+    fn two_record_journal(path: &Path, pts: Vec<SweepPoint>) -> Vec<u8> {
+        let results = run_sweep(pts.clone(), 7, 1);
+        let mut j = Journal::create(path, &JournalHeader::new("sweep", 7, pts)).unwrap();
+        for r in &results {
+            j.append(r).unwrap();
+        }
+        drop(j);
+        std::fs::read(path).unwrap()
+    }
+
+    /// Byte offset of the first `needle` at or after `from`.
+    fn find(hay: &[u8], from: usize, needle: &[u8]) -> usize {
+        from + hay[from..]
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("needle present")
+    }
+
+    #[test]
+    fn invalid_utf8_inside_an_earlier_record_is_corruption() {
+        let path = tmp("flipped");
+        let mut raw = two_record_journal(&path, points(2));
+        let record_1 = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let label = find(&raw, record_1, b"\"label\":\"p") + b"\"label\":\"".len();
+        raw[label] = 0xF0;
+        std::fs::write(&path, &raw).unwrap();
+        match Journal::load(&path) {
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_multi_byte_character_is_dropped_at_its_line_start() {
+        let path = tmp("torn-char");
+        let mut pts = points(2);
+        pts[1].label = "p1-\u{e9}".to_string();
+        let full = two_record_journal(&path, pts);
+        let last_line = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let e_acute = find(&full, last_line, "\u{e9}".as_bytes());
+        // Cut between the two bytes of the character.
+        std::fs::write(&path, &full[..=e_acute]).unwrap();
+
+        let loaded = Journal::load(&path).unwrap();
+        assert!(loaded.dropped_tail);
+        assert_eq!(loaded.results.len(), 1);
+        assert_eq!(loaded.valid_len, last_line as u64);
+        let (_, resumed) = Journal::resume(&path).unwrap();
+        assert_eq!(resumed.valid_len, last_line as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), &full[..last_line]);
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn non_journal_files_are_rejected() {
         let path = tmp("notjournal");
@@ -697,6 +916,177 @@ mod tests {
             Err(JournalError::NotAJournal(_))
         ));
         std::fs::remove_file(path).ok();
+    }
+
+    /// One real encoded snapshot of each kind: burst (Hybrid, with its
+    /// learner), campaign, datacenter, single-rack serve and site serve.
+    fn encoded_snapshots() -> Vec<(&'static str, String)> {
+        use crate::broker::{run_datacenter_with_snapshots, DatacenterSnapshot};
+        use crate::campaign::{try_run_campaign_with_snapshots, CampaignConfig};
+        use crate::datacenter::{DatacenterConfig, RackSpec};
+        use crate::engine::Engine;
+        use crate::serve::{serve, ServeArgs, ServeOptions};
+        use gs_workload::apps::Application;
+
+        let cfg = |strategy| EngineConfig {
+            strategy,
+            green: GreenConfig::re_batt(),
+            availability: AvailabilityLevel::Medium,
+            burst_duration: SimDuration::from_mins(6),
+            measurement: MeasurementMode::Analytic,
+            ..EngineConfig::default()
+        };
+        let mut out = Vec::new();
+        let mut first = None;
+        Engine::new(cfg(Strategy::Hybrid))
+            .run_full_with_snapshots(3, &mut |s: &EngineSnapshot| {
+                first.get_or_insert_with(|| s.to_json());
+            })
+            .unwrap();
+        out.push(("burst", first.take().unwrap()));
+        let campaign = CampaignConfig {
+            engine: cfg(Strategy::Pacing),
+            days: 1,
+            spikes_per_day: 2,
+            peak_intensity_cores: 12,
+        };
+        try_run_campaign_with_snapshots(&campaign, 700, &mut |s| {
+            first.get_or_insert_with(|| s.to_json());
+        })
+        .unwrap();
+        out.push(("campaign", first.take().unwrap()));
+        let dc = DatacenterConfig {
+            racks: (0..2)
+                .map(|_| RackSpec {
+                    app: Application::SpecJbb,
+                    green: GreenConfig::re_batt(),
+                    strategy: Strategy::Pacing,
+                })
+                .collect(),
+            template: cfg(Strategy::Pacing),
+            site_fault_plan: None,
+        };
+        run_datacenter_with_snapshots(&dc, 1, 3, &mut |s: &DatacenterSnapshot| {
+            first.get_or_insert_with(|| s.to_json().unwrap());
+        })
+        .unwrap();
+        out.push(("datacenter", first.take().unwrap()));
+        for (kind, racks) in [("serve rack", 1), ("serve site", 2)] {
+            let path = tmp(&format!("hostile-{racks}.json"));
+            serve(ServeArgs {
+                cfg: cfg(Strategy::Pacing),
+                options: ServeOptions {
+                    racks,
+                    ..ServeOptions::default()
+                },
+                snapshot_path: Some(path.clone()),
+                drain_after_epochs: Some(2),
+                ..ServeArgs::default()
+            })
+            .unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.contains("\"engine\":{\"Site\""), racks > 1, "{kind}");
+            out.push((kind, text));
+            std::fs::remove_file(path).ok();
+        }
+        out
+    }
+
+    /// Decode `text` as the payload of `kind`, then run every state an
+    /// `Ok` carries through the restore check its resume path runs.
+    /// `Ok(())` means it decoded; a refusal either way is fine.
+    fn decode_and_check(kind: &str, text: &str) -> Result<(), SnapshotError> {
+        use crate::broker::{rack_engine_config, DatacenterSnapshot};
+        use crate::serve::{ServeEngineState, ServeSnapshot};
+        match kind {
+            "burst" | "campaign" => {
+                let snap: EngineSnapshot = decode(text)?;
+                let cfg = match &snap.scope {
+                    SnapshotScope::Burst(cfg) => cfg,
+                    SnapshotScope::Campaign(c) => &c.engine,
+                };
+                let _ = snap.state.check_restorable(cfg);
+            }
+            "datacenter" => {
+                let snap: DatacenterSnapshot = decode(text)?;
+                if snap.cfg.validate().is_ok() && snap.racks.len() == snap.cfg.racks.len() {
+                    for (r, state) in snap.racks.iter().enumerate() {
+                        let _ = state.check_restorable(&rack_engine_config(&snap.cfg, r));
+                    }
+                }
+            }
+            _ => {
+                let snap: ServeSnapshot = decode(text)?;
+                let states: Vec<&LoopState> = match &snap.engine {
+                    ServeEngineState::Rack(state) => vec![state],
+                    ServeEngineState::Site { racks, .. } => racks.iter().flatten().collect(),
+                };
+                for state in states {
+                    let _ = state.check_restorable(&snap.cfg);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `text` minus the `i`-th field of its envelope (or, with
+    /// `payload`, of its payload object); `None` past the last field.
+    fn drop_field(text: &str, payload: bool, i: usize) -> Option<String> {
+        let mut envelope: Value = serde_json::from_str(text).unwrap();
+        let Value::Object(fields) = &mut envelope else {
+            panic!("an envelope is an object");
+        };
+        let fields = if payload {
+            let Value::Object(payload) = &mut fields[2].1 else {
+                panic!("every payload is an object");
+            };
+            payload
+        } else {
+            fields
+        };
+        if i >= fields.len() {
+            return None;
+        }
+        fields.remove(i);
+        Some(serde_json::to_string(&envelope).unwrap())
+    }
+
+    #[test]
+    fn hostile_snapshot_text_never_panics_the_decoder() {
+        let mut rng = SimRng::seed_from_u64(0x5eed);
+        for (kind, text) in encoded_snapshots() {
+            assert_eq!(decode_and_check(kind, &text), Ok(()), "{kind}");
+            let bytes = text.as_bytes();
+            for i in 0..64 {
+                let cut = i * bytes.len() / 64;
+                let truncated = String::from_utf8_lossy(&bytes[..cut]);
+                assert!(
+                    decode_and_check(kind, &truncated).is_err(),
+                    "{kind}: cut at {cut}"
+                );
+            }
+            for _ in 0..64 {
+                let mut flipped = bytes.to_vec();
+                let at = rng.index(flipped.len());
+                flipped[at] ^= (rng.next_u64() as u8) | 1;
+                let _ = decode_and_check(kind, &String::from_utf8_lossy(&flipped));
+            }
+            for i in 0.. {
+                let Some(dropped) = drop_field(&text, false, i) else {
+                    break;
+                };
+                assert!(
+                    decode_and_check(kind, &dropped).is_err(),
+                    "{kind}: envelope field {i}"
+                );
+            }
+            for i in 0.. {
+                let Some(dropped) = drop_field(&text, true, i) else {
+                    break;
+                };
+                let _ = decode_and_check(kind, &dropped);
+            }
+        }
     }
 
     #[test]

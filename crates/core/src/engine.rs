@@ -70,8 +70,8 @@ pub enum EngineError {
     /// measurement plane cannot serialize — checkpointed runs must use
     /// `MeasurementMode::Analytic`.
     SnapshotRequiresAnalytic,
-    /// A snapshot cannot resume here: its fingerprint (code + config) no
-    /// longer matches, or its shape is inconsistent.
+    /// A snapshot cannot resume here: its shape is inconsistent, or its
+    /// state does not fit its configuration.
     SnapshotMismatch(String),
 }
 
@@ -504,8 +504,7 @@ impl Engine {
         every_epochs: u64,
         sink: &mut dyn FnMut(&EngineSnapshot),
     ) -> Result<(BurstOutcome, Monitor, Option<String>), EngineError> {
-        let fp = burst_fingerprint(&self.cfg);
-        run_burst_snapshotted(&self.cfg, &fp, None, every_epochs, sink)
+        run_burst_snapshotted(&self.cfg, None, every_epochs, sink)
     }
 }
 
@@ -551,7 +550,6 @@ pub(crate) fn judge(
 /// from one still has everything.
 fn run_burst_snapshotted(
     cfg: &EngineConfig,
-    fp: &str,
     resume: Option<EngineSnapshot>,
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
@@ -564,7 +562,6 @@ fn run_burst_snapshotted(
     let mut scratch = EngineScratch::new();
     let mut snapshot = |phase, main_carry, state| {
         sink(&EngineSnapshot {
-            fingerprint: fp.to_string(),
             scope: SnapshotScope::Burst(cfg.clone()),
             phase,
             main_carry,
@@ -632,12 +629,6 @@ pub(crate) fn resumed_phase(
     Ok((carry, Some(snap.state)))
 }
 
-/// The checkpoint fingerprint of a burst configuration.
-fn burst_fingerprint(cfg: &EngineConfig) -> String {
-    let json = serde_json::to_string(cfg).expect("config serializes");
-    crate::checkpoint::config_fingerprint(&json)
-}
-
 /// The completed result of resuming a snapshot, whichever experiment
 /// kind it came from.
 // One value exists per resumed process; boxing the bigger variant would
@@ -662,32 +653,23 @@ pub enum ResumedRun {
 /// output byte-identical to the uninterrupted run. Continues emitting
 /// snapshots at the same cadence through `sink`.
 ///
-/// Refuses a snapshot whose fingerprint no longer matches the current
-/// code + embedded configuration.
+/// Refuses a loop state that does not fit its configuration; the
+/// snapshot's schema and fingerprint were checked when it was decoded.
 pub fn resume_snapshot(
     snap: EngineSnapshot,
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<ResumedRun, EngineError> {
-    let expected = snap.expected_fingerprint();
-    if snap.fingerprint != expected {
-        return Err(EngineError::SnapshotMismatch(format!(
-            "checkpoint fingerprint {} does not match this build/config ({expected}); \
-             the code or configuration changed since the checkpoint was written",
-            snap.fingerprint
-        )));
-    }
     let engine_cfg = match &snap.scope {
         SnapshotScope::Burst(cfg) => cfg,
         SnapshotScope::Campaign(ccfg) => &ccfg.engine,
     };
     snap.state.check_restorable(engine_cfg)?;
-    let fp = snap.fingerprint.clone();
     match snap.scope.clone() {
         SnapshotScope::Burst(cfg) => {
             cfg.validate()?;
             let (outcome, monitor, policy) =
-                run_burst_snapshotted(&cfg, &fp, Some(snap), every_epochs, sink)?;
+                run_burst_snapshotted(&cfg, Some(snap), every_epochs, sink)?;
             Ok(ResumedRun::Burst {
                 outcome,
                 monitor,
@@ -2386,6 +2368,7 @@ fn strategy_salt(s: Strategy) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{with_fingerprint, SnapshotError};
 
     fn quick_cfg() -> EngineConfig {
         EngineConfig {
@@ -2911,13 +2894,12 @@ mod tests {
         })
         .run_full_with_snapshots(5, &mut |s| snaps.push(s.clone()))
         .unwrap();
-        let mut snap = snaps.swap_remove(0);
-        snap.fingerprint = "0000000000000000".to_string();
-        match resume_snapshot(snap, 0, &mut |_| {}) {
-            Err(EngineError::SnapshotMismatch(m)) => {
-                assert!(m.contains("fingerprint"), "{m}");
+        let text = with_fingerprint(&snaps[0].to_json(), "0000000000000000");
+        match EngineSnapshot::from_json(&text) {
+            Err(e @ SnapshotError::Fingerprint { .. }) => {
+                assert!(e.to_string().contains("fingerprint"), "{e}");
             }
-            other => panic!("expected SnapshotMismatch, got {other:?}"),
+            other => panic!("expected a fingerprint refusal, got {other:?}"),
         }
     }
 

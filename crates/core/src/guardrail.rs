@@ -540,17 +540,15 @@ impl QuarantineRecord {
         Ok(rec)
     }
 
-    /// Write the sidecar into `dir` (created if needed) atomically via a
-    /// temp file + rename; concurrent identical writes from parallel
-    /// sweep workers land on the same final name and content. Returns
-    /// the path written.
+    /// Write the sidecar into `dir` (created if needed) with
+    /// [`crate::checkpoint::write_atomic`]; identical writes from
+    /// parallel sweep workers land on the same final name and content.
+    /// Returns the path written.
     pub fn write_to(&self, dir: &str) -> Result<String, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
         let path = std::path::Path::new(dir).join(self.file_name());
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
+        crate::checkpoint::write_atomic(&path, &self.to_json())
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
         Ok(path.display().to_string())
     }
 }

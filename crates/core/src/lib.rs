@@ -66,17 +66,17 @@ pub mod sweep;
 
 pub use audit::{EpochFlows, InvariantAuditor, SiteFlows};
 pub use broker::{
-    datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-    try_run_datacenter, BrokerState, DatacenterSnapshot, RackBelief, RackRouteStats,
+    resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter, BrokerState,
+    DatacenterSnapshot, RackBelief, RackRouteStats,
 };
 pub use campaign::{
     run_campaign, try_run_campaign, try_run_campaign_with_snapshots, CampaignConfig,
     CampaignOutcome,
 };
 pub use checkpoint::{
-    config_fingerprint, fingerprint, points_digest, EngineSnapshot, Journal, JournalError,
-    JournalHeader, LoadedJournal, LoopState, MainCarry, RunPhase, SnapshotScope,
-    DC_CHECKPOINT_SCHEMA,
+    decode, encode, fingerprint, journal_fingerprint, points_digest, write_atomic, EngineSnapshot,
+    Journal, JournalError, JournalHeader, LoadedJournal, LoopState, MainCarry, RunPhase,
+    SnapshotError, SnapshotPayload, SnapshotScope,
 };
 pub use cluster_view::{run_cluster, ClusterOutcome, GridSprintPolicy};
 pub use config::{AvailabilityLevel, GreenConfig};
@@ -102,7 +102,7 @@ pub use profiler::ProfileTable;
 pub use qlearning::{PolicyError, QLearner, TableStats};
 pub use serve::{
     serve, ControlBackend, DirectiveRow, DisturbancePlan, OverrunPolicy, ServeArgs,
-    ServeDcSideState, ServeError, ServeOptions, ServeSnapshot, ServeSummary, SERVE_SCHEMA_V2,
+    ServeDcSideState, ServeEngineState, ServeError, ServeOptions, ServeSnapshot, ServeSummary,
 };
 pub use supervisor::{
     epoch_budget, panic_message, run_supervised_sweep, FailureRecord, RackHealth, RackSupervisor,
@@ -117,12 +117,12 @@ pub use sweep::{
 pub mod prelude {
     pub use crate::audit::{EpochFlows, InvariantAuditor, SiteFlows};
     pub use crate::broker::{
-        datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-        try_run_datacenter, BrokerState, DatacenterSnapshot, RackRouteStats,
+        resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter, BrokerState,
+        DatacenterSnapshot, RackRouteStats,
     };
     pub use crate::campaign::{run_campaign, try_run_campaign, CampaignConfig, CampaignOutcome};
     pub use crate::checkpoint::{
-        config_fingerprint, EngineSnapshot, Journal, JournalError, JournalHeader, LoadedJournal,
+        journal_fingerprint, EngineSnapshot, Journal, JournalError, JournalHeader, LoadedJournal,
     };
     pub use crate::config::{AvailabilityLevel, GreenConfig};
     pub use crate::datacenter::{run_datacenter, DatacenterConfig, DatacenterOutcome, RackSpec};

@@ -53,7 +53,7 @@ use gs_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::broker::conserved_factors;
-use crate::checkpoint::{config_fingerprint, LoopState};
+use crate::checkpoint::{decode, encode, write_atomic, LoopState, SnapshotPayload};
 use crate::engine::{
     judge, run_once, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
     MeasurementMode, TickDirective,
@@ -69,15 +69,6 @@ use crate::rack::{
     judge_racks, rack_seed, settle_site_epoch, JobGate, RackBelief, RackDirective, RackWorker,
 };
 use crate::supervisor::{RackHealth, RackSupervisor};
-
-/// Schema tag of a single-rack [`ServeSnapshot`] file.
-pub const SERVE_SCHEMA: &str = "gs-serve-1";
-
-/// Schema tag of a multi-rack [`ServeSnapshot`]: the whole-daemon
-/// checkpoint embedding every rack's [`LoopState`] plus the
-/// orchestrator's [`ServeDcSideState`], so SIGKILL + `--resume` is
-/// byte-identical even mid-rack-outage.
-pub const SERVE_SCHEMA_V2: &str = "gs-serve-2";
 
 /// Serve-level watchdog: consecutive actuation failures on one server
 /// before serve stops commanding sprint settings to it.
@@ -237,7 +228,7 @@ pub struct ServeOptions {
     /// load rerouted to the survivors.
     pub rack_restarts: u32,
     /// Per-rack [`LoopState`] capture cadence in epochs (0 = use
-    /// `snapshot_every`). Rack captures and whole-daemon v2 snapshots
+    /// `snapshot_every`). Rack captures and whole-daemon site snapshots
     /// share this cadence so every checkpoint is mutually consistent.
     pub rack_snapshot_every: u64,
 }
@@ -331,80 +322,63 @@ pub struct ServeDcSideState {
     pub events: Vec<String>,
 }
 
+/// The engine state a [`ServeSnapshot`] carries: one rack's, or the
+/// whole site's.
+// One value exists per snapshot; boxing the loop state would complicate
+// every reader to save bytes that never multiply.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum ServeEngineState {
+    /// A single-rack daemon's captured loop state.
+    Rack(LoopState),
+    /// A multi-rack daemon's whole state, so SIGKILL + `--resume` is
+    /// byte-identical even mid-rack-outage.
+    Site {
+        /// Per-rack captured loop states (`None` for a rack quarantined
+        /// before its first capture).
+        racks: Vec<Option<LoopState>>,
+        /// The orchestrator's state.
+        dc: ServeDcSideState,
+    },
+}
+
+impl ServeEngineState {
+    /// The epoch a resume from this state executes first.
+    fn next_epoch(&self) -> u64 {
+        match self {
+            ServeEngineState::Rack(state) => state.next_epoch,
+            ServeEngineState::Site { dc, .. } => dc.next_epoch,
+        }
+    }
+}
+
 /// A serve checkpoint: engine state plus serve state plus enough
 /// configuration to restart with no flags beyond `--resume`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeSnapshot {
-    /// [`SERVE_SCHEMA`] (single-rack) or [`SERVE_SCHEMA_V2`] (multi-rack).
-    pub schema: String,
-    /// Build/config fingerprint of `cfg` (recomputed and checked on load).
-    pub fingerprint: String,
     /// The engine configuration the daemon is serving.
     pub cfg: EngineConfig,
     /// The deterministic serve options.
     pub options: ServeOptions,
-    /// The engine's captured loop state (single-rack schema; `None` in
-    /// v2 snapshots, which carry `racks` instead).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub state: Option<LoopState>,
-    /// Per-rack captured loop states (v2; `None` for a rack quarantined
-    /// before its first capture).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub racks: Vec<Option<LoopState>>,
-    /// Orchestrator state (v2 only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub dc: Option<ServeDcSideState>,
+    /// The engine's captured state: one rack's or the site's.
+    pub engine: ServeEngineState,
     /// Serve's own captured state.
     pub serve: ServeSideState,
 }
 
-impl ServeSnapshot {
-    /// Parse and verify a snapshot: schema must match and the embedded
-    /// fingerprint must equal the one recomputed from the embedded
-    /// config under *this* build.
-    pub fn from_json(text: &str) -> Result<Self, ServeError> {
-        let snap: ServeSnapshot = serde_json::from_str(text)
-            .map_err(|e| ServeError::Snapshot(format!("unparseable serve snapshot: {e}")))?;
-        match snap.schema.as_str() {
-            s if s == SERVE_SCHEMA => {
-                if snap.state.is_none() {
-                    return Err(ServeError::Snapshot(
-                        "single-rack snapshot is missing its engine state".to_string(),
-                    ));
-                }
-            }
-            s if s == SERVE_SCHEMA_V2 => {
-                if snap.racks.is_empty() || snap.dc.is_none() {
-                    return Err(ServeError::Snapshot(
-                        "multi-rack snapshot is missing its rack states or orchestrator state"
-                            .to_string(),
-                    ));
-                }
-            }
-            other => {
-                return Err(ServeError::Snapshot(format!(
-                    "snapshot schema {other:?} is neither {SERVE_SCHEMA:?} nor {SERVE_SCHEMA_V2:?}"
-                )));
-            }
-        }
-        let expect = serve_fingerprint(&snap.cfg);
-        if snap.fingerprint != expect {
-            return Err(ServeError::Snapshot(format!(
-                "snapshot fingerprint {} does not match this build/config ({expect})",
-                snap.fingerprint
-            )));
-        }
-        Ok(snap)
+impl SnapshotPayload for ServeSnapshot {
+    const SCHEMA: &'static str = "gs-serve-3";
+    type Config = EngineConfig;
+    fn config(&self) -> &EngineConfig {
+        &self.cfg
     }
 }
 
-/// The fingerprint a [`ServeSnapshot`] carries for `cfg`.
-pub fn serve_fingerprint(cfg: &EngineConfig) -> String {
-    // A config that cannot serialize fingerprints as the empty string —
-    // deterministic on both the write and verify sides, so it still
-    // round-trips instead of panicking the daemon.
-    let json = serde_json::to_string(cfg).unwrap_or_default();
-    config_fingerprint(&json)
+impl ServeSnapshot {
+    /// Decode a snapshot file's text ([`decode`]).
+    pub fn from_json(text: &str) -> Result<Self, ServeError> {
+        decode(text).map_err(|e| ServeError::Snapshot(e.to_string()))
+    }
 }
 
 /// Which control plane the applied settings are mirrored onto.
@@ -601,20 +575,6 @@ fn install_sigterm_handler() {
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
 
-/// Atomic file replace: write to a sibling tmp, fsync, rename. The tmp
-/// name carries the pid so two daemons pointed at the same path can
-/// never interleave halves of each other's writes; a reader (watchdog,
-/// subscriber replay) sees either the old file or the new one, whole.
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
 /// One metrics line: the epoch record plus serve's per-epoch robustness
 /// annotations. Every field derives from the epoch index, the engine
 /// record, and the disturbance plan — never from a wall clock — so the
@@ -762,7 +722,6 @@ struct NetHandle {
 /// The serve driver: implements [`EpochHooks`] over the engine loop.
 struct ServeDriver {
     opts: ServeOptions,
-    cfg_fingerprint: String,
     cfg: EngineConfig,
     sim_time: bool,
     rate: f64,
@@ -793,6 +752,27 @@ struct ServeDriver {
 }
 
 impl ServeDriver {
+    /// Write a snapshot of `engine` plus serve's own state.
+    /// Flush-before-snapshot: every epoch the snapshot believes executed
+    /// must already be durable in the metrics file, or a crash right
+    /// after this write would leave a gap no resume can fill. A stalled
+    /// sink therefore skips the snapshot too.
+    fn write_snapshot(&mut self, engine: impl FnOnce() -> ServeEngineState) {
+        if !self.metrics.drain() {
+            return;
+        }
+        let Some(path) = &self.snapshot_path else {
+            return;
+        };
+        let snap = ServeSnapshot {
+            cfg: self.cfg.clone(),
+            options: self.opts.clone(),
+            engine: engine(),
+            serve: self.side.clone(),
+        };
+        let _ = write_atomic(path, &encode(&snap));
+    }
+
     /// Drain the network ingest channel. In sim-time the frames were
     /// already validated and counted by the plane but may not shape the
     /// deterministic stream, so the freshest reading is discarded here;
@@ -1142,30 +1122,7 @@ impl EpochHooks for ServeDriver {
     }
 
     fn on_snapshot(&mut self, state: LoopState) {
-        // Flush-before-snapshot: every epoch the snapshot believes
-        // executed must already be durable in the metrics file, or a
-        // crash right after this write would leave a gap no resume can
-        // fill. A stalled sink therefore skips the snapshot too.
-        if !self.metrics.drain() {
-            return;
-        }
-        let Some(path) = &self.snapshot_path else {
-            return;
-        };
-        let snap = ServeSnapshot {
-            schema: SERVE_SCHEMA.to_string(),
-            fingerprint: self.cfg_fingerprint.clone(),
-            cfg: self.cfg.clone(),
-            options: self.opts.clone(),
-            state: Some(state),
-            racks: Vec::new(),
-            dc: None,
-            serve: self.side.clone(),
-        };
-        let Ok(text) = serde_json::to_string(&snap) else {
-            return;
-        };
-        let _ = write_atomic(path, &text);
+        self.write_snapshot(|| ServeEngineState::Rack(state));
     }
 }
 
@@ -1197,7 +1154,7 @@ fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
 // ---------------------------------------------------------------------------
 // Multi-rack serving: one supervised rack-runtime (`rack.rs`) worker per
 // rack, the conserved-routing broker math between them,
-// deterministic restart-from-snapshot, and a whole-daemon v2 checkpoint.
+// deterministic restart-from-snapshot, and a whole-daemon site snapshot.
 // ---------------------------------------------------------------------------
 
 /// Render one per-rack metrics line for the TCP fan-out (the `?rack=N`
@@ -1382,33 +1339,6 @@ impl DcRun {
     }
 }
 
-/// Write the whole-daemon v2 snapshot. Shares the single-rack
-/// flush-before-snapshot invariant: every epoch the snapshot believes
-/// executed is already durable in the metrics file, so a stalled sink
-/// skips the snapshot too.
-fn write_dc_snapshot(driver: &mut ServeDriver, run: &DcRun) {
-    if !driver.metrics.drain() {
-        return;
-    }
-    let Some(path) = &driver.snapshot_path else {
-        return;
-    };
-    let snap = ServeSnapshot {
-        schema: SERVE_SCHEMA_V2.to_string(),
-        fingerprint: driver.cfg_fingerprint.clone(),
-        cfg: driver.cfg.clone(),
-        options: driver.opts.clone(),
-        state: None,
-        racks: run.rack_states.clone(),
-        dc: Some(run.dc.clone()),
-        serve: driver.side.clone(),
-    };
-    let Ok(text) = serde_json::to_string(&snap) else {
-        return;
-    };
-    let _ = write_atomic(path, &text);
-}
-
 /// Sum the per-rack records into the site aggregate line (SoC is
 /// averaged). Every field derives from the rack records alone, so the
 /// aggregate is byte-identical whenever the per-rack records are.
@@ -1442,8 +1372,7 @@ fn aggregate_reports(reports: &[Option<(EpochRecord, Vec<ServerSetting>)>]) -> O
 /// fan-out. See DESIGN.md §8b for the thread/ownership picture.
 fn run_multi_rack(
     mut driver: ServeDriver,
-    resume_dc: Option<ServeDcSideState>,
-    resume_racks: Vec<Option<LoopState>>,
+    resume: Option<(Vec<Option<LoopState>>, ServeDcSideState)>,
     resumed_from: Option<u64>,
     n_epochs: u64,
     net_plane: Option<NetPlane>,
@@ -1465,8 +1394,8 @@ fn run_multi_rack(
         })
         .collect();
 
-    let (mut dc, rack_states) = match resume_dc {
-        Some(dc) => {
+    let (mut dc, rack_states) = match resume {
+        Some((resume_racks, dc)) => {
             if resume_racks.len() != n_racks
                 || dc.health.len() != n_racks
                 || dc.beliefs.len() != n_racks
@@ -1531,7 +1460,7 @@ fn run_multi_rack(
 
     for k in start_k..n_epochs {
         // Boundary: collect every live rack's capture, then write the
-        // whole-daemon v2 snapshot — same cadence, mutually consistent.
+        // whole-daemon site snapshot — same cadence, mutually consistent.
         if run.every > 0 && k > start_k && k % run.every == 0 {
             for r in 0..n_racks {
                 let Some(w) = run.workers[r].as_ref() else {
@@ -1548,7 +1477,10 @@ fn run_multi_rack(
             }
             run.dc.next_epoch = k;
             run.sync_supervisor();
-            write_dc_snapshot(&mut driver, &run);
+            driver.write_snapshot(|| ServeEngineState::Site {
+                racks: run.rack_states.clone(),
+                dc: run.dc.clone(),
+            });
         }
 
         // One site tick for the whole fleet: deadline/watchdog, feed
@@ -1742,7 +1674,10 @@ fn run_multi_rack(
             }
             driver.drained = true;
             run.sync_supervisor();
-            write_dc_snapshot(&mut driver, &run);
+            driver.write_snapshot(|| ServeEngineState::Site {
+                racks: run.rack_states.clone(),
+                dc: run.dc.clone(),
+            });
             break;
         }
         driver.pace(Duration::from_secs_f64(driver.epoch_secs));
@@ -1850,13 +1785,8 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         .map_err(|e| ServeError::Config(e.to_string()))?;
 
     // Resume: the snapshot's embedded config and options win wholesale.
-    // A v1 snapshot carries one engine state; a v2 snapshot carries the
-    // per-rack states plus the datacenter-side orchestrator state.
-    let mut resume_state: Option<LoopState> = None;
-    let mut resume_racks: Vec<Option<LoopState>> = Vec::new();
-    let mut resume_dc: Option<ServeDcSideState> = None;
+    let mut resume = None;
     let mut side = ServeSideState::default();
-    let mut resumed_from = None;
     if let Some(path) = &args.resume_path {
         let text = fs::read_to_string(path)
             .map_err(|e| ServeError::Snapshot(format!("cannot read {}: {e}", path.display())))?;
@@ -1865,29 +1795,19 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         cfg.measurement = MeasurementMode::Analytic;
         args.cfg = cfg;
         args.options = snap.options;
-        match snap.dc {
-            Some(dc) => {
-                resumed_from = Some(dc.next_epoch);
-                resume_racks = snap.racks;
-                resume_dc = Some(dc);
-            }
-            None => {
-                let state = snap.state.ok_or_else(|| {
-                    ServeError::Snapshot(
-                        "single-rack snapshot is missing its engine state".to_string(),
-                    )
-                })?;
-                resumed_from = Some(state.next_epoch);
-                resume_state = Some(state);
-            }
-        }
-        side = snap.serve;
-        for state in resume_state.iter().chain(resume_racks.iter().flatten()) {
+        let states: Vec<&LoopState> = match &snap.engine {
+            ServeEngineState::Rack(state) => vec![state],
+            ServeEngineState::Site { racks, .. } => racks.iter().flatten().collect(),
+        };
+        for state in states {
             state
                 .check_restorable(&args.cfg)
                 .map_err(|e| ServeError::Snapshot(e.to_string()))?;
         }
+        side = snap.serve;
+        resume = Some(snap.engine);
     }
+    let resumed_from = resume.as_ref().map(ServeEngineState::next_epoch);
     if args.options.overrun == OverrunPolicy::Degrade && !args.cfg.guardrail.enabled {
         return Err(ServeError::Config(
             "--overrun degrade needs the failover ladder: pass --guardrail on".to_string(),
@@ -1897,11 +1817,16 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         return Err(ServeError::Config("--racks must be at least 1".to_string()));
     }
     let n_racks = args.options.racks as usize;
-    if resumed_from.is_some() && (n_racks >= 2) != resume_dc.is_some() {
-        return Err(ServeError::Snapshot(
-            "snapshot schema does not match the rack count it was taken with".to_string(),
-        ));
-    }
+    let (resume_rack, resume_site) = match resume {
+        None => (None, None),
+        Some(ServeEngineState::Rack(state)) if n_racks == 1 => (Some(state), None),
+        Some(ServeEngineState::Site { racks, dc }) if n_racks >= 2 => (None, Some((racks, dc))),
+        Some(_) => {
+            return Err(ServeError::Snapshot(
+                "snapshot engine state does not match the rack count it was taken with".to_string(),
+            ))
+        }
+    };
     if n_racks >= 2 && matches!(args.control, ControlBackend::Sysfs(_)) {
         return Err(ServeError::Config(
             "--control sysfs drives one physical rack; it cannot serve --racks >= 2".to_string(),
@@ -2001,7 +1926,6 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
 
     let epoch_secs = args.cfg.epoch.as_secs_f64();
     let mut driver = ServeDriver {
-        cfg_fingerprint: serve_fingerprint(&args.cfg),
         cfg: args.cfg.clone(),
         sim_time: args.sim_time,
         rate: args.rate,
@@ -2027,14 +1951,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
     };
 
     if n_racks >= 2 {
-        return run_multi_rack(
-            driver,
-            resume_dc,
-            resume_racks,
-            resumed_from,
-            n_epochs,
-            net_plane,
-        );
+        return run_multi_rack(driver, resume_site, resumed_from, n_epochs, net_plane);
     }
 
     let profiles = ProfileTable::cached(args.cfg.app);
@@ -2043,7 +1960,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         &args.cfg,
         args.cfg.strategy,
         profiles,
-        resume_state,
+        resume_rack,
         args.options.snapshot_every,
         &mut scratch,
         &mut driver,
@@ -2228,17 +2145,15 @@ mod tests {
         assert!(summary.drained);
         let json = fs::read_to_string(&snap_path).unwrap();
         let snap = ServeSnapshot::from_json(&json).expect("a real snapshot verifies");
-        assert_eq!(snap.state.as_ref().expect("v1 state").next_epoch, 1);
+        assert!(matches!(snap.engine, ServeEngineState::Rack(st) if st.next_epoch == 1));
 
-        let bad_schema = json.replacen(SERVE_SCHEMA, "gs-serve-0", 1);
+        let bad_schema = json.replacen(ServeSnapshot::SCHEMA, "gs-serve-0", 1);
         assert!(matches!(
             ServeSnapshot::from_json(&bad_schema),
             Err(ServeError::Snapshot(_))
         ));
 
-        let mut tampered: ServeSnapshot = serde_json::from_str(&json).unwrap();
-        tampered.fingerprint = "0000000000000000".to_string();
-        let tampered_json = serde_json::to_string(&tampered).unwrap();
+        let tampered_json = crate::checkpoint::with_fingerprint(&json, "0000000000000000");
         assert!(matches!(
             ServeSnapshot::from_json(&tampered_json),
             Err(ServeError::Snapshot(_))
@@ -2246,7 +2161,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Drain a one-epoch serve into a v1 snapshot, apply `edit` to its
+    /// Drain a one-epoch serve into a single-rack snapshot, apply `edit` to its
     /// engine state, and resume from it; `Err` carries the refusal.
     fn resume_tampered(name: &str, edit: impl FnOnce(&mut LoopState)) -> Result<(), String> {
         let dir = std::env::temp_dir().join(name);
@@ -2258,10 +2173,12 @@ mod tests {
             ..ServeArgs::default()
         };
         serve(args).expect("drain serve runs");
-        let mut snap: ServeSnapshot =
-            serde_json::from_str(&fs::read_to_string(&snap_path).unwrap()).unwrap();
-        edit(snap.state.as_mut().expect("v1 state"));
-        fs::write(&snap_path, serde_json::to_string(&snap).unwrap()).unwrap();
+        let mut snap = ServeSnapshot::from_json(&fs::read_to_string(&snap_path).unwrap()).unwrap();
+        let ServeEngineState::Rack(state) = &mut snap.engine else {
+            panic!("a single-rack daemon writes one rack's state");
+        };
+        edit(state);
+        fs::write(&snap_path, encode(&snap)).unwrap();
         let resumed = serve(ServeArgs {
             resume_path: Some(snap_path),
             ..ServeArgs::default()

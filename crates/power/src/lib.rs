@@ -14,7 +14,6 @@
 //! * [`pdu`] — the grid bus's thermal circuit breaker.
 //! * [`meter`] — per-source energy accounting.
 
-pub mod backup;
 pub mod battery;
 pub mod meter;
 pub mod pdu;
@@ -23,7 +22,6 @@ pub mod solar;
 pub mod trace_io;
 pub mod wind;
 
-pub use backup::{AtsSource, AutomaticTransferSwitch, DieselGenerator};
 pub use battery::{Battery, BatterySpec};
 pub use meter::PowerMeter;
 pub use pdu::CircuitBreaker;

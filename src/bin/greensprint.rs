@@ -33,6 +33,7 @@
 //! greensprint bench [--quick] [--force] [--reps N] [--out FILE.json]
 //! ```
 
+use greensprint_repro::core::checkpoint::{encode, write_atomic, SnapshotPayload};
 use greensprint_repro::power::trace_io;
 use greensprint_repro::power::wind::WindModel;
 use greensprint_repro::prelude::*;
@@ -264,13 +265,13 @@ fn result_line(r: &SweepResult) -> String {
     serde_json::to_string(r).unwrap_or_else(|e| fatal(&format!("cannot serialize result: {e}")))
 }
 
-/// Durably replace the snapshot checkpoint at `path` (write-then-rename,
-/// so a crash mid-write leaves the previous snapshot intact).
-fn write_snapshot(path: &str, snap: &EngineSnapshot) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, snap.to_json())
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .unwrap_or_else(|e| fatal(&format!("cannot write checkpoint {path}: {e}")));
+/// A snapshot sink that durably replaces the checkpoint at `path`, so a
+/// crash mid-write leaves the previous snapshot intact.
+fn checkpoint_to<P: SnapshotPayload>(path: &str) -> impl FnMut(&P) + '_ {
+    move |snap| {
+        write_atomic(Path::new(path), &encode(snap))
+            .unwrap_or_else(|e| fatal(&format!("cannot write checkpoint {path}: {e}")));
+    }
 }
 
 fn supervisor_policy(flags: &HashMap<String, String>) -> SupervisorPolicy {
@@ -557,7 +558,7 @@ fn simulate(flags: &HashMap<String, String>) {
     let (out, _, policy) = match flags.get("checkpoint") {
         None => engine.run_full(),
         Some(path) => engine
-            .run_full_with_snapshots(snapshot_every(flags), &mut |s| write_snapshot(path, s))
+            .run_full_with_snapshots(snapshot_every(flags), &mut checkpoint_to(path))
             .unwrap_or_else(|e| usage(&e.to_string())),
     };
     print_burst_result(&out);
@@ -609,9 +610,9 @@ fn campaign(flags: &HashMap<String, String>) {
     };
     let out = match flags.get("checkpoint") {
         None => try_run_campaign(&cfg),
-        Some(path) => try_run_campaign_with_snapshots(&cfg, snapshot_every(flags), &mut |s| {
-            write_snapshot(path, s)
-        }),
+        Some(path) => {
+            try_run_campaign_with_snapshots(&cfg, snapshot_every(flags), &mut checkpoint_to(path))
+        }
     }
     .unwrap_or_else(|e| usage(&e.to_string()));
     print_campaign_result(&out);
@@ -849,18 +850,6 @@ fn chaos(flags: &HashMap<String, String>) {
     chaos_gate(&results);
 }
 
-/// Durably replace a datacenter checkpoint (write-then-rename, like
-/// [`write_snapshot`]).
-fn write_dc_snapshot(path: &str, snap: &DatacenterSnapshot) {
-    let tmp = format!("{path}.tmp");
-    let json = snap
-        .to_json()
-        .unwrap_or_else(|e| fatal(&format!("cannot serialize checkpoint {path}: {e}")));
-    std::fs::write(&tmp, json)
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .unwrap_or_else(|e| fatal(&format!("cannot write checkpoint {path}: {e}")));
-}
-
 /// Build the [`DatacenterConfig`] from the flag grid: `--racks N` racks
 /// cycling through the `--apps`/`--configs`/`--strategies` axes, a shared
 /// template for everything else, and an optional site fault plan from
@@ -1006,10 +995,8 @@ fn datacenter(flags: &HashMap<String, String>) {
             snap.broker.next_epoch
         );
         let every = snapshot_every(flags);
-        let path = path.clone();
-        let out =
-            resume_datacenter_snapshot(snap, jobs, every, &mut |s| write_dc_snapshot(&path, s))
-                .unwrap_or_else(|e| usage(&e));
+        let out = resume_datacenter_snapshot(snap, jobs, every, &mut checkpoint_to(path))
+            .unwrap_or_else(|e| usage(&e));
         report_datacenter(&out);
         return;
     }
@@ -1027,7 +1014,7 @@ fn datacenter(flags: &HashMap<String, String>) {
                 ));
             }
             let every = snapshot_every(flags);
-            run_datacenter_with_snapshots(&cfg, jobs, every, &mut |s| write_dc_snapshot(path, s))
+            run_datacenter_with_snapshots(&cfg, jobs, every, &mut checkpoint_to(path))
         }
     }
     .unwrap_or_else(|e| usage(&e));
@@ -1064,7 +1051,7 @@ fn resume_journal(
     let header = loaded.header;
     let points_json = serde_json::to_string(&header.points)
         .unwrap_or_else(|e| fatal(&format!("cannot serialize journal points: {e}")));
-    if header.fingerprint != config_fingerprint(&points_json)
+    if header.fingerprint != journal_fingerprint(&points_json)
         || header.points_digest != points_digest(&header.points)
     {
         usage(&format!(
@@ -1134,7 +1121,7 @@ fn resume_engine_snapshot(path: &str, flags: &HashMap<String, String>) {
         "resume: {path} — continuing at epoch {}",
         snap.state.next_epoch
     );
-    match resume_snapshot(snap, every, &mut |s| write_snapshot(path, s)) {
+    match resume_snapshot(snap, every, &mut checkpoint_to(path)) {
         Ok(ResumedRun::Burst {
             outcome, policy, ..
         }) => {
@@ -1692,7 +1679,7 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     };
 
     let summary = serve(args).unwrap_or_else(|e| match e {
-        ServeError::Config(_) => usage(&e.to_string()),
+        ServeError::Config(_) | ServeError::Snapshot(_) => usage(&e.to_string()),
         _ => fatal(&e.to_string()),
     });
     let text = serde_json::to_string_pretty(&summary)

@@ -48,15 +48,15 @@ pub use gs_workload as workload;
 pub mod prelude {
     pub use greensprint::audit::{EpochFlows, InvariantAuditor, SiteFlows};
     pub use greensprint::broker::{
-        datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-        try_run_datacenter, BrokerState, DatacenterSnapshot, RackRouteStats,
+        resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter, BrokerState,
+        DatacenterSnapshot, RackRouteStats,
     };
     pub use greensprint::campaign::{
         run_campaign, try_run_campaign, try_run_campaign_with_snapshots, CampaignConfig,
         CampaignOutcome,
     };
     pub use greensprint::checkpoint::{
-        config_fingerprint, points_digest, EngineSnapshot, Journal, JournalError, JournalHeader,
+        journal_fingerprint, points_digest, EngineSnapshot, Journal, JournalError, JournalHeader,
         LoadedJournal,
     };
     pub use greensprint::config::{AvailabilityLevel, GreenConfig};
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use greensprint::qlearning::{PolicyError, QLearner, TableStats};
     pub use greensprint::serve::{
         serve, ControlBackend, DirectiveRow, DisturbancePlan, OverrunPolicy, ServeArgs,
-        ServeDcSideState, ServeError, ServeOptions, ServeSnapshot, ServeSummary, SERVE_SCHEMA_V2,
+        ServeDcSideState, ServeEngineState, ServeError, ServeOptions, ServeSnapshot, ServeSummary,
     };
     pub use greensprint::supervisor::{
         epoch_budget, run_supervised_sweep, RackHealth, RackSupervisor, SupervisorPolicy,

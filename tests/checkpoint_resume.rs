@@ -295,3 +295,118 @@ fn resume_of_a_tampered_snapshot_is_a_usage_error() {
     std::fs::remove_file(&snap).ok();
     std::fs::remove_file(format!("{path}.tmp")).ok();
 }
+
+/// Reshape a snapshot file into the pre-envelope layout: the payload's
+/// fields at the top level beside the fingerprint, led by `schema` when
+/// the old format carried one (serve's `gs-serve-1`/`gs-serve-2`; the
+/// engine and datacenter files had none).
+fn pre_envelope(path: &PathBuf, schema: Option<&str>) {
+    use serde_json::Value;
+    let envelope: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut fields = Vec::new();
+    if let Some(tag) = schema {
+        fields.push(("schema".to_string(), Value::String(tag.to_string())));
+    }
+    fields.push((
+        "fingerprint".to_string(),
+        envelope.get("fingerprint").unwrap().clone(),
+    ));
+    fields.extend(
+        envelope
+            .get("payload")
+            .unwrap()
+            .as_object()
+            .unwrap()
+            .to_vec(),
+    );
+    std::fs::write(path, serde_json::to_string(&Value::Object(fields)).unwrap()).unwrap();
+}
+
+/// Write a snapshot with `write` (its last argument is the file),
+/// reshape it into the pre-envelope layout, and expect `resume` to refuse
+/// it with exit 2 and a message containing `found`.
+fn refuses_pre_envelope(write: &[&str], old_schema: Option<&str>, resume: &[&str], found: &str) {
+    let file = PathBuf::from(write[write.len() - 1]);
+    std::fs::remove_file(&file).ok();
+    let (_, stderr, ok) = run(write);
+    assert!(ok, "{write:?}: {stderr}");
+    pre_envelope(&file, old_schema);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(resume)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{resume:?}: {stderr}");
+    assert!(stderr.contains(found), "{resume:?}: {stderr}");
+    std::fs::remove_file(file).ok();
+}
+
+#[test]
+fn pre_envelope_snapshots_are_refused_naming_their_schema() {
+    let burst = tmp("old-burst.json");
+    let dc = tmp("old-dc.json");
+    let rack = tmp("old-serve-1.json");
+    let site = tmp("old-serve-2.json");
+    let (b, d, r, s) = (
+        burst.to_str().unwrap(),
+        dc.to_str().unwrap(),
+        rack.to_str().unwrap(),
+        site.to_str().unwrap(),
+    );
+    let every = ["--snapshot-every", "2"];
+    refuses_pre_envelope(
+        &[
+            "simulate",
+            "--minutes",
+            "6",
+            "--analytic",
+            every[0],
+            every[1],
+            "--checkpoint",
+            b,
+        ],
+        None,
+        &["resume", b],
+        "no schema tag",
+    );
+    refuses_pre_envelope(
+        &[
+            "datacenter",
+            "--racks",
+            "2",
+            "--minutes",
+            "6",
+            "--analytic",
+            every[0],
+            every[1],
+            "--checkpoint",
+            d,
+        ],
+        None,
+        &["datacenter", "--resume", d],
+        "no schema tag",
+    );
+    let serve = [
+        "serve",
+        "--minutes",
+        "6",
+        "--sim-time",
+        "--drain-after",
+        "3",
+    ];
+    let single: Vec<&str> = [&serve[..], &every, &["--snapshot", r]].concat();
+    refuses_pre_envelope(
+        &single,
+        Some("gs-serve-1"),
+        &["serve", "--resume", r],
+        "\"gs-serve-1\"",
+    );
+    let multi: Vec<&str> = [&serve[..], &every, &["--racks", "4", "--snapshot", s]].concat();
+    refuses_pre_envelope(
+        &multi,
+        Some("gs-serve-2"),
+        &["serve", "--resume", s],
+        "\"gs-serve-2\"",
+    );
+}

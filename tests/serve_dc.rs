@@ -1,7 +1,7 @@
 //! End-to-end tests for multi-rack `greensprint serve`: supervised
 //! rack-worker isolation (an injected panic or stall recovers via a
 //! bounded restart-from-snapshot with byte-identical aggregate metrics),
-//! quarantine + conserved rerouting within two epochs, whole-daemon v2
+//! quarantine + conserved rerouting within two epochs, whole-daemon site
 //! snapshots (drain/SIGKILL + `--resume` byte-identity, including
 //! mid-rack-outage), the tick watchdog, and a golden multi-rack stream.
 
@@ -156,13 +156,14 @@ fn exhausted_restarts_quarantine_and_reroute_within_two_epochs() {
         summary.rack_events
     );
 
-    // The drained v2 snapshot's directive log shows the failover
+    // The drained site snapshot's directive log shows the failover
     // landing within two epochs of the death: the dead rack's factor
     // collapses to zero and the survivors absorb its load.
     let snap = ServeSnapshot::from_json(&std::fs::read_to_string(&snap).unwrap())
-        .expect("v2 snapshot parses");
-    assert_eq!(snap.schema, SERVE_SCHEMA_V2);
-    let dc = snap.dc.expect("v2 snapshot carries orchestrator state");
+        .expect("site snapshot parses");
+    let ServeEngineState::Site { dc, .. } = snap.engine else {
+        panic!("a multi-rack daemon writes the site form");
+    };
     assert_eq!(dc.rows.len(), 8, "one directive row per executed epoch");
     assert!(
         dc.rows[3].factors[1] > 0.5,
@@ -240,7 +241,7 @@ fn drain_resume_mid_quarantine_is_byte_identical() {
 }
 
 /// SIGKILL (no drain, no destructor) on a multi-rack daemon, then
-/// `--resume` from the periodic v2 snapshot: bytes identical to an
+/// `--resume` from the periodic site snapshot: bytes identical to an
 /// uninterrupted run.
 #[test]
 fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
@@ -291,8 +292,11 @@ fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
     );
     let text = std::fs::read_to_string(&snap).unwrap();
     assert!(
-        text.contains(SERVE_SCHEMA_V2),
-        "multi-rack daemon wrote a v1 snapshot"
+        matches!(
+            ServeSnapshot::from_json(&text).map(|s| s.engine),
+            Ok(ServeEngineState::Site { .. })
+        ),
+        "multi-rack daemon did not write the site form"
     );
 
     let status = Command::new(env!("CARGO_BIN_EXE_greensprint"))
@@ -410,7 +414,7 @@ fn golden_multi_rack_stream_is_byte_identical() {
 /// runtime: batch `datacenter` and multi-rack `serve` on the same
 /// homogeneous, fault-free fleet must route identically. The broker's
 /// conserved factors for the first `K` epochs equal the factor rows
-/// serve logged into its drained v2 snapshot, bit for bit.
+/// serve logged into its drained site snapshot, bit for bit.
 #[test]
 fn batch_and_serve_route_a_fleet_identically() {
     const RACKS: usize = 3;
@@ -447,9 +451,11 @@ fn batch_and_serve_route_a_fleet_identically() {
     let summary = serve(args).expect("drained multi-rack serve");
     assert!(summary.drained);
     let text = std::fs::read_to_string(&snap).unwrap();
-    let snapshot = ServeSnapshot::from_json(&text).expect("v2 snapshot");
-    assert_eq!(snapshot.schema, SERVE_SCHEMA_V2);
-    let rows = snapshot.dc.expect("orchestrator state").rows;
+    let snapshot = ServeSnapshot::from_json(&text).expect("site snapshot");
+    let ServeEngineState::Site { dc, .. } = snapshot.engine else {
+        panic!("a multi-rack daemon writes the site form");
+    };
+    let rows = dc.rows;
     assert_eq!(rows.len() as u64, K);
 
     for (k, (want, row)) in batch.factors.iter().zip(&rows).enumerate() {
